@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -182,6 +183,27 @@ def test_legend_frontier_golden():
         assert rep.params["bound"] == 8
     with pytest.raises(ValueError):
         legend_frontier(cyclic_triangle(), (0, 1, 2), 4)
+
+
+REPORT_DIGESTS = [
+    ("chi2", lambda: scan_chi2(2, 6), "2c10209eafd921c1"),
+    ("tribip", lambda: scan_tribip(2, 6), "434902a8e4c3b80d"),
+    ("theorem-suite", lambda: scan_theorem_suite(5), "fd9f047c991bb9cf"),
+    ("backdom", lambda: scan_backdom(2, 5), "187605ce9308e9f6"),
+    ("legends-01", lambda: legend_frontier(transitive_tournament(2), Numbering((0, 1)), 6),
+     "45e90728aa309f75"),
+    ("legends-10", lambda: legend_frontier(transitive_tournament(2), Numbering((1, 0)), 6),
+     "b607f9276c968974"),
+]
+
+
+@pytest.mark.parametrize("run, want", [r[1:] for r in REPORT_DIGESTS],
+                         ids=[r[0] for r in REPORT_DIGESTS])
+def test_report_json_is_pinned(run, want):
+    d = json.loads(run().to_json())
+    d.pop("wall_time")
+    text = json.dumps(d, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == want
 
 
 def test_threaded_scan_matches_serial():
