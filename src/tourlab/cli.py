@@ -5,8 +5,8 @@ subcommands pipe:
 
     tourlab gen s_t --t 3 | tourlab solve chi
 
-Shared flags (--json, --seed, --deadline-seconds, --nmax, --threads) are
-accepted after every subcommand. Exit codes: 0 success, 1 a scan found a
+Shared flags (--json, --seed, --deadline-seconds, --nmax) are accepted
+after every subcommand. Exit codes: 0 success, 1 a scan found a
 witness, 2 usage or malformed input, 3 capacity or deadline exceeded.
 """
 
@@ -361,17 +361,17 @@ def _cmd_numbering(args) -> int:
 def _cmd_scan(args) -> int:
     deadline = _deadline(args)
     if args.name == "chi2":
-        report = enumeration.scan_chi2(args.c, args.nmax, args.threads, deadline)
+        report = enumeration.scan_chi2(args.c, args.nmax, deadline=deadline)
     elif args.name == "tribip":
-        report = enumeration.scan_tribip(args.d, args.nmax, args.threads, deadline)
+        report = enumeration.scan_tribip(args.d, args.nmax, deadline=deadline)
     elif args.name == "theorem-suite":
-        report = enumeration.scan_theorem_suite(args.nmax, args.threads, deadline)
+        report = enumeration.scan_theorem_suite(args.nmax, deadline=deadline)
     elif args.name == "backdom":
-        report = enumeration.scan_backdom(args.c, args.nmax, args.threads, deadline)
+        report = enumeration.scan_backdom(args.c, args.nmax, deadline=deadline)
     elif args.name == "legends":
         h = constructions.transitive_tournament(args.h_n)
         sigma = _parse_perm(args.sigma) if args.sigma else natural_numbering(args.h_n)
-        report = enumeration.legend_frontier(h, sigma, args.nmax, args.threads, deadline)
+        report = enumeration.legend_frontier(h, sigma, args.nmax, deadline=deadline)
     else:
         raise ValueError(f"unknown scan {args.name!r}")
     if args.out:
@@ -405,7 +405,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--deadline-seconds", type=float, default=None, help="wall-clock budget"
     )
     shared.add_argument("--nmax", type=int, default=6, help="scan size ceiling")
-    shared.add_argument("--threads", type=int, default=1, help="scan worker threads")
 
     parser = argparse.ArgumentParser(
         prog="tourlab",

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -41,7 +40,7 @@ from .core import (
     reverse,
 )
 from .formats import parse_compact, emit_compact, tournament_code
-from .solvers import chi_all_subsets, dom, graph_chi, graph_omega
+from .solvers import all_triangle_law, chi_all_subsets, dom, graph_chi, graph_omega
 from .structure import local_chromatic_number, max_diamond, ordered_contains
 
 ENUM_CAP = 7
@@ -90,14 +89,17 @@ def is_canonical(t: Tournament) -> bool:
     return tournament_code(t) == canonical_code(t)
 
 
-def _level(n: int) -> tuple[tuple[int, ...], ...]:
+def _level(n: int, deadline: Optional[Deadline] = None) -> tuple[tuple[int, ...], ...]:
+    """Canonical out-set tuples at n vertices; a level is cached only once complete."""
     got = _LEVELS.get(n)
     if got is not None:
         return got
-    parents = _level(n - 1)
+    parents = _level(n - 1, deadline)
     kept: list[tuple[int, tuple[int, ...]]] = []
     newbit = 1 << (n - 1)
     for parent in parents:
+        if deadline is not None:
+            deadline.check()
         for pattern in range(1 << (n - 1)):
             out = list(parent)
             for v in range(n - 1):
@@ -211,24 +213,6 @@ def revalidate_witness(report: SearchReport):
     checker(report)
 
 
-def _map_corpus(fn, items: Sequence, threads: int):
-    """Apply fn preserving corpus order; thread fan-out keeps the merge deterministic."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _triangle_masks(t: Tournament) -> list[int]:
-    tri = []
-    for a in range(t.n):
-        for b in bits(t.out_sets[a] >> a << a):
-            for c in bits(t.out_sets[b] & t.in_set(a)):
-                if c > a:
-                    tri.append(1 << a | 1 << b | 1 << c)
-    return tri
-
-
 def _corpus_dict(n_max: int) -> dict:
     return {
         "description": "all tournaments up to isomorphism, canonical order",
@@ -237,78 +221,110 @@ def _corpus_dict(n_max: int) -> dict:
     }
 
 
-def scan_chi2(
-    c: int,
+def _scan(
+    name: str,
+    params: dict,
     n_max: int,
-    threads: int = 1,
-    deadline: Optional[Deadline] = None,
+    deadline: Optional[Deadline],
+    examine: Callable[[Tournament], tuple[int, Optional[dict]]],
+    *,
+    count: Optional[str] = None,
+    findings: Optional[dict] = None,
+    stop_at_witness: bool = True,
 ) -> SearchReport:
+    """The corpus loop behind every scan.
+
+    Walks the canonical corpus for n = 1..n_max, checking the deadline while
+    a level is built and before each class. examine(t) returns (k, found):
+    k is summed into the level's `count` counter, and the first found that
+    is not None, with t's compact form added, becomes the witness. A scan
+    that stops at a witness ends after the level yielding it; otherwise
+    every level is walked. findings is the scan's own state, which examine
+    fills in as it goes.
+    """
+    if n_max > ENUM_CAP:
+        raise CapacityError(f"scan capped at {ENUM_CAP} vertices")
+    start = time.monotonic()
+    per_n: dict[str, dict] = {}
+    witness = None
+    for n in range(1, n_max + 1):
+        _level(n, deadline)
+        row = {"classes": 0} if count is None else {"classes": 0, count: 0}
+        for t in enumerate_all(n):
+            if deadline is not None:
+                deadline.check()
+            k, found = examine(t)
+            row["classes"] += 1
+            if count is not None:
+                row[count] += k
+            if found is not None and witness is None:
+                witness = {"tournament": emit_compact(t), **found}
+        per_n[str(n)] = row
+        if witness is not None and stop_at_witness:
+            break
+    return SearchReport(
+        scan=name,
+        params=params,
+        corpus=_corpus_dict(n_max),
+        outcome="witness" if witness else "exhausted",
+        witness=witness,
+        findings={} if findings is None else findings,
+        counters={"per_n": per_n},
+        wall_time=time.monotonic() - start,
+    )
+
+
+def _chi2_profile(t: Tournament, c: int) -> Optional[tuple[int, list[int], bool]]:
+    """None when chi(t) < 2c; else chi(t), each out-neighbourhood's chi, and
+    whether all of those are below c, which makes t a witness."""
+    tbl = chi_all_subsets(t)
+    value = int(tbl[t.full_mask])
+    if value < 2 * c:
+        return None
+    neigh = [int(tbl[t.out_sets[v]]) for v in range(t.n)]
+    return value, neigh, all(x < c for x in neigh)
+
+
+def scan_chi2(c: int, n_max: int, *, deadline: Optional[Deadline] = None) -> SearchReport:
     """Hunt a tournament with chi >= 2c whose every out-neighbourhood has chi < c.
 
     Exhausts the canonical corpus up to n_max; a find would refute the
     out-neighbourhood colouring conjecture at this c.
     """
-    if n_max > ENUM_CAP:
-        raise CapacityError(f"scan capped at {ENUM_CAP} vertices")
-    start = time.monotonic()
-    counters: dict[str, dict] = {}
-    witness = None
 
     def examine(t: Tournament):
-        if deadline is not None:
-            deadline.check()
-        tbl = chi_all_subsets(t)
-        value = int(tbl[t.full_mask])
-        if value < 2 * c:
-            return None
-        neigh = [int(tbl[t.out_sets[v]]) for v in range(t.n)]
-        return (max(neigh, default=0) < c, value, neigh)
+        got = _chi2_profile(t, c)
+        if got is None:
+            return 0, None
+        value, neigh, hit = got
+        return 1, {"chi": value, "out_neighbourhood_chis": neigh} if hit else None
 
-    for n in range(1, n_max + 1):
-        qualifying = 0
-        corpus = list(enumerate_all(n))
-        for t, got in zip(corpus, _map_corpus(examine, corpus, threads)):
-            if got is None:
-                continue
-            qualifying += 1
-            bad, value, neigh = got
-            if bad and witness is None:
-                witness = {
-                    "tournament": emit_compact(t),
-                    "chi": value,
-                    "out_neighbourhood_chis": neigh,
-                }
-        counters[str(n)] = {"classes": len(corpus), "chi_at_least_2c": qualifying}
-        if witness is not None:
-            break
-    return SearchReport(
-        scan="chi2",
-        params={"c": c, "n_max": n_max},
-        corpus=_corpus_dict(n_max),
-        outcome="witness" if witness else "exhausted",
-        witness=witness,
-        counters={"per_n": counters},
-        wall_time=time.monotonic() - start,
-    )
+    params = {"c": c, "n_max": n_max}
+    return _scan("chi2", params, n_max, deadline, examine, count="chi_at_least_2c")
 
 
 @_validator("chi2")
 def _check_chi2(report: SearchReport):
     c = report.params["c"]
-    t = parse_compact(report.witness["tournament"])
-    tbl = chi_all_subsets(t)
-    if int(tbl[t.full_mask]) < 2 * c:
+    got = _chi2_profile(parse_compact(report.witness["tournament"]), c)
+    if got is None:
         raise ValueError("chi2 witness fails: chromatic number below 2c")
-    if any(int(tbl[t.out_sets[v]]) >= c for v in range(t.n)):
+    if not got[2]:
         raise ValueError("chi2 witness fails: some out-neighbourhood reaches c")
 
 
-def scan_tribip(
-    d: int,
-    n_max: int,
-    threads: int = 1,
-    deadline: Optional[Deadline] = None,
-) -> SearchReport:
+def _triangle_pair_between(t: Tournament, tris: Sequence[int], a: int, b: int) -> bool:
+    """Whether a cyclic triangle inside a is complete to or from one inside b."""
+    tri_b = [m for m in tris if not m & ~b]
+    return any(
+        complete_to(t, ta, tb) or complete_to(t, tb, ta)
+        for ta in tris
+        if not ta & ~a
+        for tb in tri_b
+    )
+
+
+def scan_tribip(d: int, n_max: int, *, deadline: Optional[Deadline] = None) -> SearchReport:
     """Hunt disjoint sets of chi >= d with no complete pair of triangles between them.
 
     For every canonical tournament and every disjoint (a, b) with both sides
@@ -316,17 +332,10 @@ def scan_tribip(
     be complete to one inside the other (in either orientation); a pair with
     no such triangles is a witness.
     """
-    if n_max > ENUM_CAP:
-        raise CapacityError(f"scan capped at {ENUM_CAP} vertices")
-    start = time.monotonic()
-    counters: dict[str, dict] = {}
-    witness = None
 
     def examine(t: Tournament):
-        if deadline is not None:
-            deadline.check()
         tbl = chi_all_subsets(t)
-        tris = _triangle_masks(t)
+        tris = all_triangle_law(t).members
         pairs = 0
         for a in range(1, 1 << t.n):
             if int(tbl[a]) < d:
@@ -337,41 +346,13 @@ def scan_tribip(
             while b:
                 if int(tbl[b]) >= d and (a & -a) < (b & -b):
                     pairs += 1
-                    tri_a = [m for m in tris if not m & ~a]
-                    tri_b = [m for m in tris if not m & ~b]
-                    good = any(
-                        complete_to(t, ta, tb) or complete_to(t, tb, ta)
-                        for ta in tri_a
-                        for tb in tri_b
-                    )
-                    if not good:
-                        return pairs, (a, b)
+                    if not _triangle_pair_between(t, tris, a, b):
+                        return pairs, {"a": a, "b": b}
                 b = (b - 1) & rest
         return pairs, None
 
-    for n in range(1, n_max + 1):
-        pairs_seen = 0
-        corpus = list(enumerate_all(n))
-        for t, (pairs, bad) in zip(corpus, _map_corpus(examine, corpus, threads)):
-            pairs_seen += pairs
-            if bad and witness is None:
-                witness = {
-                    "tournament": emit_compact(t),
-                    "a": bad[0],
-                    "b": bad[1],
-                }
-        counters[str(n)] = {"classes": len(corpus), "qualifying_pairs": pairs_seen}
-        if witness is not None:
-            break
-    return SearchReport(
-        scan="tribip",
-        params={"d": d, "n_max": n_max},
-        corpus=_corpus_dict(n_max),
-        outcome="witness" if witness else "exhausted",
-        witness=witness,
-        counters={"per_n": counters},
-        wall_time=time.monotonic() - start,
-    )
+    params = {"d": d, "n_max": n_max}
+    return _scan("tribip", params, n_max, deadline, examine, count="qualifying_pairs")
 
 
 @_validator("tribip")
@@ -384,125 +365,77 @@ def _check_tribip(report: SearchReport):
     tbl = chi_all_subsets(t)
     if int(tbl[a]) < d or int(tbl[b]) < d:
         raise ValueError("tribip witness fails: a side has chi below d")
-    tris = _triangle_masks(t)
-    tri_a = [m for m in tris if not m & ~a]
-    tri_b = [m for m in tris if not m & ~b]
-    if any(
-        complete_to(t, ta, tb) or complete_to(t, tb, ta)
-        for ta in tri_a
-        for tb in tri_b
-    ):
+    if _triangle_pair_between(t, all_triangle_law(t).members, a, b):
         raise ValueError("tribip witness fails: a complete triangle pair exists")
 
 
-def scan_theorem_suite(
-    n_max: int,
-    threads: int = 1,
-    deadline: Optional[Deadline] = None,
-) -> SearchReport:
+def _suite_violation(t: Tournament, perms) -> tuple[Optional[tuple], int]:
+    """The first proved theorem t breaks, as (name, numbering, lhs, rhs), or None.
+
+    dom <= chi is checked first, then each numbering of perms in turn; the
+    second value is the number of numberings tried.
+    """
+    tbl = chi_all_subsets(t)
+    chi_value = int(tbl[t.full_mask])
+    dom_value = dom(t).value
+    if dom_value > chi_value:
+        return ("dom_le_chi", None, dom_value, chi_value), 0
+    best = max_diamond(t)
+    diamond_value = 0 if best is None else best.value
+    tried = 0
+    for perm in perms:
+        tried += 1
+        ot = OrderedTournament(t, Numbering(perm))
+        local = local_chromatic_number(ot, table=tbl)
+        g = backedge_graph(ot)
+        gchi = graph_chi(g)
+        gomega = graph_omega(g)
+        if not chi_value <= gchi <= gomega * max(chi_value, 1):
+            return ("backedge_sandwich", perm, (chi_value, gchi, gomega), None), tried
+        if diamond_value > 2 * local:
+            return ("diamond_le_2local", perm, diamond_value, local), tried
+        if dom_value > local + 1:
+            return ("dom_le_local_plus_1", perm, dom_value, local), tried
+    return None, tried
+
+
+def scan_theorem_suite(n_max: int, *, deadline: Optional[Deadline] = None) -> SearchReport:
     """Assert proved theorems over the corpus; any violation is a bug certificate.
 
     Numbering-free checks (dom <= chi) run for all n <= n_max (cap 7); the
     per-numbering checks (backedge sandwich, diamond bound against twice the
     local chromatic number, dom <= local + 1) run for n <= 6.
     """
-    if n_max > ENUM_CAP:
-        raise CapacityError(f"scan capped at {ENUM_CAP} vertices")
-    start = time.monotonic()
-    counters: dict[str, dict] = {}
-    witness = None
 
     def examine(t: Tournament):
-        if deadline is not None:
-            deadline.check()
-        tbl = chi_all_subsets(t)
-        chi_value = int(tbl[t.full_mask])
-        dom_value = dom(t).value
-        if dom_value > chi_value:
-            return ("dom_le_chi", None, dom_value, chi_value), 0
-        best = max_diamond(t)
-        diamond_value = 0 if best is None else best.value
-        numberings = 0
-        if t.n <= 6:
-            for perm in itertools.permutations(range(t.n)):
-                numberings += 1
-                ot = OrderedTournament(t, Numbering(perm))
-                local = local_chromatic_number(ot, table=tbl)
-                g = backedge_graph(ot)
-                gchi = graph_chi(g)
-                gomega = graph_omega(g)
-                if not chi_value <= gchi <= gomega * max(chi_value, 1):
-                    return ("backedge_sandwich", perm, (chi_value, gchi, gomega), None), numberings
-                if diamond_value > 2 * local:
-                    return ("diamond_le_2local", perm, diamond_value, local), numberings
-                if dom_value > local + 1:
-                    return ("dom_le_local_plus_1", perm, dom_value, local), numberings
-        return None, numberings
+        perms = itertools.permutations(range(t.n)) if t.n <= 6 else ()
+        bad, tried = _suite_violation(t, perms)
+        if bad is None:
+            return tried, None
+        name, perm, lhs, rhs = bad
+        numbering = list(perm) if perm is not None else None
+        return tried, {"theorem": name, "numbering": numbering, "lhs": lhs, "rhs": rhs}
 
-    for n in range(1, n_max + 1):
-        corpus = list(enumerate_all(n))
-        numberings = 0
-        for t, (bad, seen) in zip(corpus, _map_corpus(examine, corpus, threads)):
-            numberings += seen
-            if bad and witness is None:
-                name, perm, lhs, rhs = bad
-                witness = {
-                    "theorem": name,
-                    "tournament": emit_compact(t),
-                    "numbering": list(perm) if perm is not None else None,
-                    "lhs": lhs,
-                    "rhs": rhs,
-                }
-        counters[str(n)] = {"classes": len(corpus), "numberings": numberings}
-        if witness is not None:
-            break
-    return SearchReport(
-        scan="theorem-suite",
-        params={"n_max": n_max},
-        corpus=_corpus_dict(n_max),
-        outcome="witness" if witness else "exhausted",
-        witness=witness,
-        counters={"per_n": counters},
-        wall_time=time.monotonic() - start,
-    )
+    params = {"n_max": n_max}
+    return _scan("theorem-suite", params, n_max, deadline, examine, count="numberings")
 
 
 @_validator("theorem-suite")
 def _check_theorem_suite(report: SearchReport):
     t = parse_compact(report.witness["tournament"])
     name = report.witness["theorem"]
-    tbl = chi_all_subsets(t)
-    chi_value = int(tbl[t.full_mask])
-    dom_value = dom(t).value
     perm = report.witness["numbering"]
-    if name == "dom_le_chi":
-        if dom_value <= chi_value:
-            raise ValueError("suite witness fails: dom <= chi holds after all")
-        return
-    ot = OrderedTournament(t, Numbering(tuple(perm)))
-    local = local_chromatic_number(ot, table=tbl)
-    if name == "backedge_sandwich":
-        g = backedge_graph(ot)
-        if chi_value <= graph_chi(g) <= graph_omega(g) * max(chi_value, 1):
-            raise ValueError("suite witness fails: sandwich holds after all")
-    elif name == "diamond_le_2local":
-        best = max_diamond(t)
-        value = 0 if best is None else best.value
-        if value <= 2 * local:
-            raise ValueError("suite witness fails: diamond bound holds after all")
-    elif name == "dom_le_local_plus_1":
-        if dom_value <= local + 1:
-            raise ValueError("suite witness fails: dom bound holds after all")
-    else:
-        raise ValueError(f"unknown suite theorem {name!r}")
+    bad, _ = _suite_violation(t, [] if perm is None else [tuple(perm)])
+    if bad is None or bad[0] != name:
+        raise ValueError(f"suite witness fails: {name!r} holds after all")
 
 
-def scan_backdom(
-    c: int,
-    n_max: int,
-    threads: int = 1,
-    deadline: Optional[Deadline] = None,
-) -> SearchReport:
+def _max_reverse_subdom(t: Tournament) -> int:
+    """The largest domination number of a reversed nonempty induced subtournament."""
+    return max((dom(reverse(induce(t, s).sub)).value for s in range(1, 1 << t.n)), default=0)
+
+
+def scan_backdom(c: int, n_max: int, *, deadline: Optional[Deadline] = None) -> SearchReport:
     """Frontier of reverse subdomination against domination.
 
     For each tournament, records dom(t) and the largest domination number of
@@ -511,47 +444,22 @@ def scan_backdom(
     dom >= c whose maximum stays below c would witness against the reverse
     rebel belief at this c (proved impossible for c = 2).
     """
-    if n_max > ENUM_CAP:
-        raise CapacityError(f"scan capped at {ENUM_CAP} vertices")
-    start = time.monotonic()
-    counters: dict[str, dict] = {}
-    frontier: dict[int, dict] = {}
-    witness = None
+    frontier: dict[str, dict] = {}
 
     def examine(t: Tournament):
-        if deadline is not None:
-            deadline.check()
         d = dom(t).value
-        best = 0
-        for s in range(1, 1 << t.n):
-            best = max(best, dom(reverse(induce(t, s).sub)).value)
-        return d, best
+        best = _max_reverse_subdom(t)
+        row = frontier.get(str(d))
+        if row is None or best < row["max_reverse_subdom"]:
+            frontier[str(d)] = {"max_reverse_subdom": best, "tournament": emit_compact(t)}
+        if d >= c and best < c:
+            return 0, {"dom": d, "max_reverse_subdom": best}
+        return 0, None
 
-    for n in range(1, n_max + 1):
-        corpus = list(enumerate_all(n))
-        for t, (d, best) in zip(corpus, _map_corpus(examine, corpus, threads)):
-            row = frontier.get(d)
-            if row is None or best < row["max_reverse_subdom"]:
-                frontier[d] = {
-                    "max_reverse_subdom": best,
-                    "tournament": emit_compact(t),
-                }
-            if d >= c and best < c and witness is None:
-                witness = {
-                    "tournament": emit_compact(t),
-                    "dom": d,
-                    "max_reverse_subdom": best,
-                }
-        counters[str(n)] = {"classes": len(corpus)}
-    return SearchReport(
-        scan="backdom",
-        params={"c": c, "n_max": n_max},
-        corpus=_corpus_dict(n_max),
-        outcome="witness" if witness else "exhausted",
-        witness=witness,
-        findings={"frontier": {str(d): frontier[d] for d in sorted(frontier)}},
-        counters={"per_n": counters},
-        wall_time=time.monotonic() - start,
+    params = {"c": c, "n_max": n_max}
+    return _scan(
+        "backdom", params, n_max, deadline, examine,
+        findings={"frontier": frontier}, stop_at_witness=False,
     )
 
 
@@ -561,10 +469,7 @@ def _check_backdom(report: SearchReport):
     t = parse_compact(report.witness["tournament"])
     if dom(t).value < c:
         raise ValueError("backdom witness fails: dom below c")
-    best = 0
-    for s in range(1, 1 << t.n):
-        best = max(best, dom(reverse(induce(t, s).sub)).value)
-    if best >= c:
+    if _max_reverse_subdom(t) >= c:
         raise ValueError("backdom witness fails: reverse subdomination reaches c")
 
 
@@ -576,7 +481,7 @@ def legend_frontier(
     h: Tournament,
     sigma: Numbering,
     n_max: int,
-    threads: int = 1,
+    *,
     deadline: Optional[Deadline] = None,
 ) -> SearchReport:
     """Largest domination number among ordered tournaments avoiding (h, sigma).
@@ -593,15 +498,9 @@ def legend_frontier(
         sigma = Numbering(tuple(sigma))
     if len(sigma) != h.n:
         raise ValueError("sigma length differs from h")
-    if n_max > ENUM_CAP:
-        raise CapacityError(f"scan capped at {ENUM_CAP} vertices")
-    start = time.monotonic()
     bound = h.n * (1 << h.n)
     oh = OrderedTournament(h, sigma)
-    counters: dict[str, dict] = {}
-    frontier = 0
-    frontier_example = None
-    witness = None
+    findings = {"frontier": 0, "example": None}
 
     def numberings_for(t: Tournament):
         if t.n <= 6:
@@ -612,56 +511,35 @@ def legend_frontier(
         )
 
     def examine(t: Tournament):
-        if deadline is not None:
-            deadline.check()
         for perm in numberings_for(t):
-            ot = OrderedTournament(t, Numbering(perm))
-            if ordered_contains(ot, oh) is None:
-                return dom(t).value, perm
-        return None
+            if deadline is not None:
+                deadline.check()
+            if ordered_contains(OrderedTournament(t, Numbering(perm)), oh) is None:
+                break
+        else:
+            return 0, None
+        value = dom(t).value
+        if value > findings["frontier"]:
+            findings["frontier"] = value
+            findings["example"] = {
+                "tournament": emit_compact(t),
+                "numbering": list(perm),
+                "dom": value,
+            }
+        return 1, {"numbering": list(perm), "dom": value} if value >= bound else None
 
-    for n in range(1, n_max + 1):
-        corpus = list(enumerate_all(n))
-        avoiders = 0
-        for t, got in zip(corpus, _map_corpus(examine, corpus, threads)):
-            if got is None:
-                continue
-            avoiders += 1
-            value, perm = got
-            if value > frontier:
-                frontier = value
-                frontier_example = {
-                    "tournament": emit_compact(t),
-                    "numbering": list(perm),
-                    "dom": value,
-                }
-            if value >= bound and witness is None:
-                witness = {
-                    "tournament": emit_compact(t),
-                    "numbering": list(perm),
-                    "dom": value,
-                }
-        counters[str(n)] = {
-            "classes": len(corpus),
-            "classes_with_avoiding_numbering": avoiders,
-        }
-    return SearchReport(
-        scan="legends",
-        params={
-            "h": emit_compact(h),
-            "sigma": list(sigma.perm),
-            "n_max": n_max,
-            "bound": bound,
-            "n7_sampling": {"seed": LEGEND_SAMPLE_SEED, "samples": LEGEND_SAMPLES}
-            if n_max >= 7
-            else None,
-        },
-        corpus=_corpus_dict(n_max),
-        outcome="witness" if witness else "exhausted",
-        witness=witness,
-        findings={"frontier": frontier, "example": frontier_example},
-        counters={"per_n": counters},
-        wall_time=time.monotonic() - start,
+    params = {
+        "h": emit_compact(h),
+        "sigma": list(sigma.perm),
+        "n_max": n_max,
+        "bound": bound,
+        "n7_sampling": {"seed": LEGEND_SAMPLE_SEED, "samples": LEGEND_SAMPLES}
+        if n_max >= 7
+        else None,
+    }
+    return _scan(
+        "legends", params, n_max, deadline, examine,
+        count="classes_with_avoiding_numbering", findings=findings, stop_at_witness=False,
     )
 
 

@@ -94,12 +94,8 @@ def _tri_bits(n: int) -> int:
 
 
 def emit_compact(t: Tournament) -> str:
-    code = 0
-    for i in range(t.n):
-        for j in range(i):
-            code = code << 1 | (t.out_sets[i] >> j & 1)
     digits = max(1, (_tri_bits(t.n) + 3) // 4)
-    return f"{t.n}:{code:0{digits}x}"
+    return f"{t.n}:{tournament_code(t):0{digits}x}"
 
 
 def parse_compact(text: str) -> Tournament:

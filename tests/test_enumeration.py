@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -158,6 +159,7 @@ def test_scan_theorem_suite_catches_corrupted_solver(monkeypatch):
     rep = scan_theorem_suite(4)
     assert rep.outcome == "witness"
     assert rep.witness["theorem"] == "dom_le_chi"
+    assert list(rep.counters["per_n"]) == ["1"]
 
 
 class FakeDom:
@@ -206,21 +208,51 @@ def test_report_json_is_pinned(run, want):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == want
 
 
-def test_threaded_scan_matches_serial():
-    a = scan_chi2(2, 6, threads=1)
-    b = scan_chi2(2, 6, threads=4)
-    da, db = json.loads(a.to_json()), json.loads(b.to_json())
-    da.pop("wall_time"), db.pop("wall_time")
-    assert da == db
-    x = scan_backdom(2, 5, threads=1)
-    y = scan_backdom(2, 5, threads=3)
-    dx, dy = json.loads(x.to_json()), json.loads(y.to_json())
-    dx.pop("wall_time"), dy.pop("wall_time")
-    assert dx == dy
-
-
 def test_deadline_interrupts_scan():
     from tourlab import Deadline, DeadlineExceeded
 
     with pytest.raises(DeadlineExceeded):
         scan_theorem_suite(6, deadline=Deadline(-1.0))
+
+
+def test_deadline_interrupts_cold_corpus_build(monkeypatch):
+    from tourlab import Deadline, DeadlineExceeded
+
+    monkeypatch.setattr(en, "_LEVELS", {0: ((),)})
+    start = time.monotonic()
+    with pytest.raises(DeadlineExceeded):
+        scan_chi2(2, 7, deadline=Deadline(0.5))
+    assert time.monotonic() - start < 2.0
+    assert 7 not in en._LEVELS
+
+
+def test_deadline_interrupts_legend_sampling(monkeypatch):
+    from tourlab import Deadline, DeadlineExceeded, paley
+
+    # one n=7 class that contains TT2 under every numbering, so all samples run
+    levels = {0: ((),), **{n: () for n in range(1, 7)}, 7: (paley(7).out_sets,)}
+    monkeypatch.setattr(en, "_LEVELS", levels)
+    start = time.monotonic()
+    with pytest.raises(DeadlineExceeded):
+        legend_frontier(transitive_tournament(2), Numbering((0, 1)), 7, deadline=Deadline(0.05))
+    assert time.monotonic() - start < 0.5
+
+
+def test_scan_deadline_is_keyword_only():
+    from tourlab import Deadline
+
+    with pytest.raises(TypeError):
+        scan_chi2(2, 4, 1, Deadline(10.0))
+
+
+def test_suite_witness_revalidates_against_its_theorem(monkeypatch):
+    monkeypatch.setattr(en, "dom", lambda t, deadline=None: FakeDom(t.n))
+    text = scan_theorem_suite(3).to_json()
+    SearchReport.from_json(text, revalidate=True)
+    renamed = json.loads(text)
+    renamed["witness"]["theorem"] = "diamond_le_2local"
+    with pytest.raises(ValueError):
+        SearchReport.from_json(json.dumps(renamed), revalidate=True)
+    monkeypatch.undo()
+    with pytest.raises(ValueError):
+        SearchReport.from_json(text, revalidate=True)
