@@ -1,41 +1,16 @@
-"""Bitset kernels behind the hot loops, with two interchangeable backends.
+"""Bitset kernels behind the hot loops.
 
-The numba backend JIT-compiles the kernels; the pure backend uses vectorized
-numpy where the computation vectorizes (canonical codes, transitive tables)
-and plain Python loops where it is inherently sequential (subset DP). Both
-backends return identical values; the pure path is the portability fallback
-and is slow for the largest allowed inputs.
-
-Backend selection: the TOURLAB_KERNELS environment variable, read at import.
-  auto   use numba when importable, else pure (default)
-  numba  require numba, fail at import if unavailable
-  pure   never touch numba
+Vectorized numpy where the computation vectorizes (canonical codes,
+transitive tables) and plain Python loops where it is inherently sequential
+(subset DP, subset-domination scan).
 """
-
-import os
 
 import numpy as np
 
-_CHOICE = os.environ.get("TOURLAB_KERNELS", "auto").lower()
-if _CHOICE not in ("auto", "numba", "pure"):
-    raise ValueError(
-        f"TOURLAB_KERNELS must be auto, numba or pure, not {_CHOICE!r}")
-
-try:
-    from numba import njit
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-if _CHOICE == "numba" and not HAS_NUMBA:
-    raise ImportError("TOURLAB_KERNELS=numba but numba is not importable")
-
-BACKEND = "numba" if (_CHOICE in ("auto", "numba") and HAS_NUMBA) else "pure"
-
 
 def backend() -> str:
-    """Name of the active kernel backend, 'numba' or 'pure'."""
-    return BACKEND
+    """Name of the kernel implementation, stamped into run records."""
+    return "pure"
 
 
 # ---------------------------------------------------------------------------
@@ -47,43 +22,18 @@ def backend() -> str:
 # permutation table gives the canonical form.
 # ---------------------------------------------------------------------------
 
-if BACKEND == "numba":
-
-    @njit(cache=True)
-    def _min_code_jit(adj, perms):  # pragma: no cover - exercised via wrapper
-        m, n = perms.shape
-        best = np.int64(0x7FFFFFFFFFFFFFFF)
-        for p in range(m):
-            code = np.int64(0)
-            for i in range(1, n):
-                vi = perms[p, i]
-                for j in range(i):
-                    code = (code << 1) | np.int64(adj[vi, perms[p, j]])
-            if code < best:
-                best = code
-        return best
-
-    def min_code(adj: np.ndarray, perms: np.ndarray) -> int:
-        """Minimum lower-triangular code of adj over the given permutations."""
-        n = adj.shape[0]
-        if n < 2:
-            return 0
-        return int(_min_code_jit(np.ascontiguousarray(adj, dtype=np.uint8),
-                                 np.ascontiguousarray(perms, dtype=np.int64)))
-
-else:
-
-    def min_code(adj: np.ndarray, perms: np.ndarray) -> int:
-        n = adj.shape[0]
-        if n < 2:
-            return 0
-        tri_i = np.array([i for i in range(1, n) for _ in range(i)])
-        tri_j = np.array([j for i in range(1, n) for j in range(i)])
-        nbits = len(tri_i)
-        weights = (np.int64(1) << np.arange(nbits - 1, -1, -1,
-                                            dtype=np.int64))
-        bits = adj[perms[:, tri_i], perms[:, tri_j]].astype(np.int64)
-        return int((bits * weights).sum(axis=1).min())
+def min_code(adj: np.ndarray, perms: np.ndarray) -> int:
+    """Minimum lower-triangular code of adj over the given permutations."""
+    n = adj.shape[0]
+    if n < 2:
+        return 0
+    tri_i = np.array([i for i in range(1, n) for _ in range(i)])
+    tri_j = np.array([j for i in range(1, n) for j in range(i)])
+    nbits = len(tri_i)
+    weights = (np.int64(1) << np.arange(nbits - 1, -1, -1,
+                                        dtype=np.int64))
+    bits = adj[perms[:, tri_i], perms[:, tri_j]].astype(np.int64)
+    return int((bits * weights).sum(axis=1).min())
 
 
 # ---------------------------------------------------------------------------
@@ -94,66 +44,29 @@ else:
 # cyclic triangle runs through h.
 # ---------------------------------------------------------------------------
 
-if BACKEND == "numba":
-
-    @njit(cache=True)
-    def _trans_table_jit(out, in_, n):  # pragma: no cover
-        size = 1 << n
-        tbl = np.zeros(size, np.uint8)
-        tbl[0] = 1
-        for mask in range(1, size):
-            h = 0
-            m = mask
-            while m > 1:
-                m >>= 1
-                h += 1
-            rest = mask ^ (1 << h)
-            if tbl[rest] == 0:
-                continue
-            outs = out[h] & rest
-            ins = in_[h] & rest
-            ok = 1
-            for u in range(h):
-                if (outs >> u) & 1 and (out[u] & ins):
-                    ok = 0
-                    break
-            tbl[mask] = ok
-        return tbl
-
-    def transitive_table(out_sets, n: int) -> np.ndarray:
-        """0/1 array over all 2**n vertex subsets: induced set is transitive."""
-        out = np.array(out_sets, dtype=np.int64)
-        full = (1 << n) - 1
-        in_ = np.array([full & ~(o | (1 << v)) for v, o in enumerate(out_sets)],
-                       dtype=np.int64)
-        if n == 0:
-            return np.ones(1, np.uint8)
-        return _trans_table_jit(out, in_, n)
-
-else:
-
-    def transitive_table(out_sets, n: int) -> np.ndarray:
-        size = 1 << n
-        tbl = np.ones(size, np.uint8)
-        full = size - 1
-        in_sets = [full & ~(o | (1 << v)) for v, o in enumerate(out_sets)]
-        for h in range(n):
-            block = 1 << h
-            rests = np.arange(block, dtype=np.int64)
-            below = block - 1
-            tri = np.zeros(block, dtype=bool)
-            outs_h = out_sets[h] & below
-            in_h = in_sets[h]
-            u = 0
-            rem = outs_h
-            while rem:
-                if rem & 1:
-                    hit = out_sets[u] & in_h & below
-                    tri |= (((rests >> u) & 1) != 0) & ((rests & hit) != 0)
-                rem >>= 1
-                u += 1
-            tbl[block:2 * block] = tbl[:block] & (~tri).astype(np.uint8)
-        return tbl
+def transitive_table(out_sets, n: int) -> np.ndarray:
+    """0/1 array over all 2**n vertex subsets: induced set is transitive."""
+    size = 1 << n
+    tbl = np.ones(size, np.uint8)
+    full = size - 1
+    in_sets = [full & ~(o | (1 << v)) for v, o in enumerate(out_sets)]
+    for h in range(n):
+        block = 1 << h
+        rests = np.arange(block, dtype=np.int64)
+        below = block - 1
+        tri = np.zeros(block, dtype=bool)
+        outs_h = out_sets[h] & below
+        in_h = in_sets[h]
+        u = 0
+        rem = outs_h
+        while rem:
+            if rem & 1:
+                hit = out_sets[u] & in_h & below
+                tri |= (((rests >> u) & 1) != 0) & ((rests & hit) != 0)
+            rem >>= 1
+            u += 1
+        tbl[block:2 * block] = tbl[:block] & (~tri).astype(np.uint8)
+    return tbl
 
 
 # ---------------------------------------------------------------------------
@@ -165,61 +78,31 @@ else:
 # it, and enlarging a class never hurts the remainder.
 # ---------------------------------------------------------------------------
 
-if BACKEND == "numba":
-
-    @njit(cache=True)
-    def _chi_table_jit(trans, size):  # pragma: no cover
-        tbl = np.zeros(size, np.uint8)
-        for s in range(1, size):
-            if trans[s]:
-                tbl[s] = 1
-                continue
-            low = s & (-s)
-            rest = s ^ low
-            best = 255
-            sub = rest
-            while True:
-                t = sub | low
-                if trans[t]:
-                    v = 1 + tbl[s ^ t]
-                    if v < best:
-                        best = v
-                if sub == 0:
-                    break
-                sub = (sub - 1) & rest
-            tbl[s] = best
-        return tbl
-
-    def chi_table_from_trans(trans: np.ndarray) -> np.ndarray:
-        """chi of every vertex subset, given the transitive-subset table."""
-        return _chi_table_jit(trans, len(trans))
-
-else:
-
-    def chi_table_from_trans(trans: np.ndarray) -> np.ndarray:
-        size = len(trans)
-        tbl = np.zeros(size, np.uint8)
-        tr = trans.tolist()
-        out = tbl.tolist()
-        for s in range(1, size):
-            if tr[s]:
-                out[s] = 1
-                continue
-            low = s & (-s)
-            rest = s ^ low
-            best = 255
-            sub = rest
-            while True:
-                t = sub | low
-                if tr[t]:
-                    v = 1 + out[s ^ t]
-                    if v < best:
-                        best = v
-                if sub == 0:
-                    break
-                sub = (sub - 1) & rest
-            out[s] = best
-        return np.array(out, dtype=np.uint8)
+def chi_table_from_trans(trans: np.ndarray) -> np.ndarray:
+    """chi of every vertex subset, given the transitive-subset table."""
+    size = len(trans)
+    tbl = np.zeros(size, np.uint8)
+    tr = trans.tolist()
+    out = tbl.tolist()
+    for s in range(1, size):
+        if tr[s]:
+            out[s] = 1
+            continue
+        low = s & (-s)
+        rest = s ^ low
+        best = 255
+        sub = rest
+        while True:
+            t = sub | low
+            if tr[t]:
+                v = 1 + out[s ^ t]
+                if v < best:
+                    best = v
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        out[s] = best
+    return np.array(out, dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -231,105 +114,35 @@ else:
 # solve.
 # ---------------------------------------------------------------------------
 
-if BACKEND == "numba":
-
-    @njit(cache=True)
-    def _dom_feasible_jit(out, in_, mask, k):  # pragma: no cover
-        if mask == 0:
-            return True
-        if k <= 0:
-            return False
-        und_st = np.empty(k, np.int64)
-        cand_st = np.empty(k, np.int64)
-        und_st[0] = mask
-        u = 0
-        m = mask
-        while not (m & 1):
-            m >>= 1
-            u += 1
-        cand_st[0] = (in_[u] | (1 << u)) & mask
-        depth = 0
-        while True:
-            if cand_st[depth] == 0:
-                if depth == 0:
-                    return False
-                depth -= 1
-                continue
-            c = cand_st[depth] & (-cand_st[depth])
-            cand_st[depth] ^= c
-            ci = 0
-            m = c
-            while m > 1:
-                m >>= 1
-                ci += 1
-            newund = und_st[depth] & ~(out[ci] | c)
-            if newund == 0:
-                return True
-            if depth + 1 >= k:
-                continue
-            depth += 1
-            und_st[depth] = newund
-            u = 0
-            m = newund
-            while not (m & 1):
-                m >>= 1
-                u += 1
-            cand_st[depth] = (in_[u] | (1 << u)) & mask
+def _dom_feasible(out_sets, in_sets, mask, und, k):
+    if und == 0:
+        return True
+    if k == 0:
         return False
-
-    @njit(cache=True)
-    def _subdom_scan_jit(out, in_, n):  # pragma: no cover
-        best = 0
-        for mask in range(1, 1 << n):
-            if best >= 1 and _dom_feasible_jit(out, in_, mask, best):
-                continue
-            k = best + 1
-            while not _dom_feasible_jit(out, in_, mask, k):
-                k += 1
-            best = k
-        return best
-
-    def subdom_scan(out_sets, n: int) -> int:
-        """max over subsets S of dom(induced subtournament on S)."""
-        if n == 0:
-            return 0
-        out = np.array(out_sets, dtype=np.int64)
-        full = (1 << n) - 1
-        in_ = np.array([full & ~(o | (1 << v)) for v, o in enumerate(out_sets)],
-                       dtype=np.int64)
-        return int(_subdom_scan_jit(out, in_, n))
-
-else:
-
-    def _dom_feasible_py(out_sets, in_sets, mask, und, k):
-        if und == 0:
+    u = (und & -und).bit_length() - 1
+    cand = (in_sets[u] | (1 << u)) & mask
+    while cand:
+        c = cand & -cand
+        cand ^= c
+        ci = c.bit_length() - 1
+        if _dom_feasible(out_sets, in_sets, mask,
+                         und & ~(out_sets[ci] | c), k - 1):
             return True
-        if k == 0:
-            return False
-        u = (und & -und).bit_length() - 1
-        cand = (in_sets[u] | (1 << u)) & mask
-        while cand:
-            c = cand & -cand
-            cand ^= c
-            ci = c.bit_length() - 1
-            if _dom_feasible_py(out_sets, in_sets, mask,
-                                und & ~(out_sets[ci] | c), k - 1):
-                return True
-        return False
+    return False
 
-    def subdom_scan(out_sets, n: int) -> int:
-        if n == 0:
-            return 0
-        full = (1 << n) - 1
-        outs = [int(o) for o in out_sets]
-        in_sets = [full & ~(o | (1 << v)) for v, o in enumerate(outs)]
-        best = 0
-        for mask in range(1, 1 << n):
-            if best >= 1 and _dom_feasible_py(outs, in_sets, mask, mask,
-                                              best):
-                continue
-            k = best + 1
-            while not _dom_feasible_py(outs, in_sets, mask, mask, k):
-                k += 1
-            best = k
-        return best
+
+def subdom_scan(out_sets, n: int) -> int:
+    """max over subsets S of dom(induced subtournament on S)."""
+    if n == 0:
+        return 0
+    full = (1 << n) - 1
+    in_sets = [full & ~(o | (1 << v)) for v, o in enumerate(out_sets)]
+    best = 0
+    for mask in range(1, 1 << n):
+        if best >= 1 and _dom_feasible(out_sets, in_sets, mask, mask, best):
+            continue
+        k = best + 1
+        while not _dom_feasible(out_sets, in_sets, mask, mask, k):
+            k += 1
+        best = k
+    return best

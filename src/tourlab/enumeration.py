@@ -360,6 +360,9 @@ def _check_tribip(report: SearchReport):
     d = report.params["d"]
     t = parse_compact(report.witness["tournament"])
     a, b = report.witness["a"], report.witness["b"]
+    for side in (a, b):
+        if not isinstance(side, int) or side <= 0 or side & ~t.full_mask:
+            raise ValueError("tribip witness fails: a side is empty or outside the vertices")
     if a & b:
         raise ValueError("tribip witness fails: sides intersect")
     tbl = chi_all_subsets(t)
@@ -380,11 +383,13 @@ def _suite_violation(t: Tournament, perms) -> tuple[Optional[tuple], int]:
     dom_value = dom(t).value
     if dom_value > chi_value:
         return ("dom_le_chi", None, dom_value, chi_value), 0
-    best = max_diamond(t)
-    diamond_value = 0 if best is None else best.value
+    diamond_value = None  # only the numbering checks use it
     tried = 0
     for perm in perms:
         tried += 1
+        if diamond_value is None:
+            best = max_diamond(t)
+            diamond_value = 0 if best is None else best.value
         ot = OrderedTournament(t, Numbering(perm))
         local = local_chromatic_number(ot, table=tbl)
         g = backedge_graph(ot)

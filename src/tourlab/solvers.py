@@ -153,8 +153,7 @@ def chi_all_subsets(t: Tournament) -> np.ndarray:
     """
     if t.n > 20:
         raise CapacityError(f"subset table for n={t.n} exceeds the n<=20 guard")
-    out = np.array(t.out_sets, dtype=np.int64) if t.n else np.zeros(0, np.int64)
-    trans = _kernels.transitive_table(out, t.n)
+    trans = _kernels.transitive_table(t.out_sets, t.n)
     return _kernels.chi_table_from_trans(trans)
 
 
@@ -318,8 +317,7 @@ def subdom(t: Tournament, seed: int = 0) -> SubdomResult:
     if t.n == 0:
         return SubdomResult(0, True)
     if t.n <= 20:
-        out = np.array(t.out_sets, dtype=np.int64)
-        return SubdomResult(int(_kernels.subdom_scan(out, t.n)), True)
+        return SubdomResult(_kernels.subdom_scan(t.out_sets, t.n), True)
     best = dom(t).value
     masks = {t.out_sets[v] for v in range(t.n)} | {t.in_set(v) for v in range(t.n)}
     rng = np.random.Generator(np.random.PCG64(seed))

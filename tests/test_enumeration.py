@@ -121,10 +121,13 @@ def test_doctored_witness_fails_revalidation():
     rep = scan_tribip(2, 6)
     assert rep.outcome == "witness"
     revalidate_witness(rep)
-    doctored = json.loads(rep.to_json())
-    doctored["witness"]["a"] = 3
-    with pytest.raises(ValueError):
-        SearchReport.from_json(json.dumps(doctored), revalidate=True)
+    # a=3 has chi below d; a=-29 and b=-36 wrap around as numpy indexes and
+    # as complements; 1024 lies outside the six vertices.
+    for side, value in (("a", 3), ("a", -29), ("b", -36), ("a", 1024)):
+        doctored = json.loads(rep.to_json())
+        doctored["witness"][side] = value
+        with pytest.raises(ValueError):
+            SearchReport.from_json(json.dumps(doctored), revalidate=True)
     unknown = json.loads(rep.to_json())
     unknown["scan"] = "nonsense"
     with pytest.raises(ValueError):
@@ -256,3 +259,11 @@ def test_suite_witness_revalidates_against_its_theorem(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(ValueError):
         SearchReport.from_json(text, revalidate=True)
+
+
+def test_suite_skips_diamond_without_numberings(monkeypatch):
+    def unused(t):
+        raise AssertionError("max_diamond called with no numbering to check")
+
+    monkeypatch.setattr(en, "max_diamond", unused)
+    assert en._suite_violation(random_tournament(7, seed=1), ()) == (None, 0)

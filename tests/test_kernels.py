@@ -1,94 +1,48 @@
-"""Numba and pure-numpy kernel paths must agree bit for bit.
-
-The numba legs need numba itself: where it is not importable they are
-reported as skipped, and the pure legs still run.
-"""
-
-import importlib
+"""The bitset kernels against the solvers and the brute-force oracles."""
 
 import numpy as np
-import pytest
 
 import oracles as orc
 
 import tourlab._kernels as _kernels
-from tourlab import chi, is_transitive_set, random_tournament
-
-PATHS = ["pure", "numba"]
-
-try:
-    import numba  # noqa: F401
-    NUMBA_IMPORTABLE = True
-except ImportError:
-    NUMBA_IMPORTABLE = False
+from tourlab import (
+    chi,
+    chi_all_subsets,
+    is_transitive_set,
+    random_tournament,
+    transitive_tournament,
+)
 
 
-def _restore_kernels(monkeypatch):
-    """Undo the TOURLAB_KERNELS override and re-import the default backend."""
-    monkeypatch.undo()
-    importlib.reload(_kernels)
-
-
-@pytest.fixture(params=PATHS)
-def kernels(request, monkeypatch):
-    if request.param == "numba":
-        pytest.importorskip("numba")
-    # Registered before the reload, so a reload that raises is undone too.
-    request.addfinalizer(lambda: _restore_kernels(monkeypatch))
-    monkeypatch.setenv("TOURLAB_KERNELS", request.param)
-    mod = importlib.reload(_kernels)
-    assert mod.BACKEND == request.param
-    return mod
-
-
-def _outs(t):
-    return np.array(t.out_sets, dtype=np.int64)
-
-
-@pytest.mark.parametrize("path", PATHS)
-def test_backend_flag_selects_path(path, request, monkeypatch):
-    request.addfinalizer(lambda: _restore_kernels(monkeypatch))
-    monkeypatch.setenv("TOURLAB_KERNELS", path)
-    if path == "numba" and not NUMBA_IMPORTABLE:
-        # An explicit numba request fails at import rather than quietly
-        # running the pure path.
-        with pytest.raises(ImportError, match="numba is not importable"):
-            importlib.reload(_kernels)
-        return
-    mod = importlib.reload(_kernels)
-    assert mod.BACKEND == path
-    assert mod.backend() == path
-
-
-def test_transitive_table_matches_definition(kernels):
+def test_transitive_table_matches_definition():
     t = random_tournament(9, seed=1)
-    trans = kernels.transitive_table(_outs(t), t.n)
+    trans = _kernels.transitive_table(t.out_sets, t.n)
     for s in range(1 << t.n):
         assert bool(trans[s]) == is_transitive_set(t, s)
 
 
-def test_chi_table_matches_solver(kernels):
+def test_chi_table_matches_solver():
     t = random_tournament(9, seed=2)
-    trans = kernels.transitive_table(_outs(t), t.n)
-    tbl = kernels.chi_table_from_trans(trans)
+    trans = _kernels.transitive_table(t.out_sets, t.n)
+    tbl = _kernels.chi_table_from_trans(trans)
     for s in (0, 1, 0b101010101, (1 << t.n) - 1, 0b111, 0b110010):
         assert int(tbl[s]) == chi(t, s).value
 
 
-def test_min_code_matches_relabelling_oracle(kernels):
+def test_min_code_matches_relabelling_oracle():
     from tourlab import formats
     from tourlab.enumeration import _adj_matrix, _perms
 
     for seed in range(4):
         t = random_tournament(5, seed)
         want = orc.canonical_code_by_relabelling(5, formats.tournament_code(t))
-        got = int(kernels.min_code(_adj_matrix(t), _perms(5)))
+        got = int(_kernels.min_code(_adj_matrix(t), _perms(5)))
         assert got == want
 
 
-def test_subdom_scan_matches_oracle(kernels):
+def test_subdom_scan_matches_oracle():
     t = random_tournament(10, seed=3)
-    got = int(kernels.subdom_scan(_outs(t), t.n))
+    got = int(_kernels.subdom_scan(t.out_sets, t.n))
     want = max(
         orc.dom_by_combinations(t, s)
         for s in _sample_subsets(t.n, seed=0, k=40)
@@ -103,24 +57,8 @@ def _sample_subsets(n, seed, k):
     return [int(rng.integers(1, full + 1)) for _ in range(k)]
 
 
-def test_paths_agree_on_library_entrypoints(monkeypatch):
-    pytest.importorskip("numba")
-    # The solvers look up _kernels.<fn> at call time, so reloading _kernels
-    # alone switches them; reloading solvers would rebind its classes.
-    import tourlab.solvers as solvers
-
-    t = random_tournament(11, seed=4)
-    t9 = random_tournament(9, seed=5)
-    results = {}
-    try:
-        for path in PATHS:
-            monkeypatch.setenv("TOURLAB_KERNELS", path)
-            assert importlib.reload(_kernels).BACKEND == path
-            results[path] = (
-                solvers.chi(t).value,
-                solvers.dom(t).value,
-                solvers.subdom(t9).value,
-            )
-    finally:
-        _restore_kernels(monkeypatch)
-    assert results["pure"] == results["numba"]
+def test_kernels_on_the_empty_tournament():
+    t = transitive_tournament(0)
+    assert chi_all_subsets(t).tolist() == [0]
+    assert _kernels.transitive_table(t.out_sets, 0).tolist() == [1]
+    assert _kernels.subdom_scan(t.out_sets, 0) == 0
