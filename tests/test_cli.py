@@ -1,6 +1,8 @@
+import hashlib
 import importlib.resources
 import io
 import json
+import shlex
 
 import jsonschema
 import pytest
@@ -16,6 +18,8 @@ from tourlab import (
     local_chromatic_number,
     natural_numbering,
     numbering_clique,
+    paley,
+    random_tournament,
     s_t,
     strong_chromatic_number,
     transitive_tournament,
@@ -243,3 +247,209 @@ def test_deadline_flag_exits_three(run):
 def test_help_exits_zero(run):
     code, out, _ = run(["--help"])
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# pinned CLI output: sha256 of stdout + stderr + exit code per invocation
+# ---------------------------------------------------------------------------
+
+_INPUTS = {
+    "p7": lambda: formats.emit_tmt(paley(7)),
+    "r8": lambda: formats.emit_tmt(random_tournament(8, 7)),
+    "r22": lambda: formats.emit_tmt(random_tournament(22, 9)),
+    "bad": lambda: "not a tournament\n",
+    "n65": lambda: "65\n",
+}
+
+_GEN = [
+    "transitive --n 4",
+    "c3",
+    "s_t --t 2",
+    "t_t --t 2",
+    "paley --q 11",
+    "chain-power --base c3 --r 2",
+    "chain-power --base transitive:2 --r 3",
+    "chain-power --base s_t:2",
+    "majority --orderings '0,1,2;2,0,1;1,2,0' --k 2",
+    "crossing --pairs '1-4 2-5'",
+    "u_k --k 2 --witnesses 2",
+    "random --n 6 --seed 3",
+]
+_PER_INPUT = [
+    "solve chi",
+    "solve chi-h",
+    "solve chi-law",
+    "solve dom",
+    "solve edom",
+    "solve subdom",
+    "analyze numbering",
+    "analyze diamonds",
+    "analyze pairs",
+    "analyze poset",
+    "numbering min-local",
+    "numbering min-local --mode heuristic",
+    "numbering diamond-free",
+    "numbering diamond-free --c 0",
+]
+_ON_P7 = [
+    "solve chi-h --h t_t:2",
+    "solve edom --a 0,1,2",
+    "analyze numbering --order 6,5,4,3,2,1,0",
+    "analyze poset --order 0,1,2,3,4,5,6",
+]
+_SCANS = [
+    "scan chi2 --nmax 4",
+    "scan tribip --nmax 4",
+    "scan theorem-suite --nmax 4",
+    "scan backdom --nmax 4",
+    "scan legends --nmax 4",
+    "scan legends --h-n 2 --sigma 1,0 --nmax 4",
+    "scan tribip --nmax 6",
+]
+
+
+def _cli_cases() -> list[tuple[str, str]]:
+    """(command line, input name or '') for every pinned invocation."""
+    cases = [(f"gen {g}", "") for g in _GEN]
+    cases += [(cmd, name) for cmd in _PER_INPUT for name in ("p7", "r8")]
+    cases += [(cmd, "p7") for cmd in _ON_P7]
+    cases += [("solve subdom", "r22")]
+    cases += [(s, "") for s in _SCANS]
+    cases += [("enum --n 5", ""), ("solve chi", "bad"), ("solve chi", "n65"),
+              ("enum --n 9", "")]
+    return [(cmd + mode, name) for cmd, name in cases for mode in ("", " --json")]
+
+
+def cli_digests(run) -> dict[str, str]:
+    """Digest per case; scan JSON is hashed without its wall time."""
+    got = {}
+    for cmd, name in _cli_cases():
+        argv = shlex.split(cmd)
+        code, out, err = run(argv, _INPUTS[name]() if name else "")
+        if argv[0] == "scan" and "--json" in argv:
+            env = json.loads(out)
+            env["data"].pop("wall_time")
+            out = json.dumps(env, sort_keys=True, indent=2) + "\n"
+        key = f"{cmd} < {name}" if name else cmd
+        got[key] = hashlib.sha256(f"{out}\0{err}\0{code}".encode()).hexdigest()[:16]
+    return got
+
+
+CLI_DIGESTS = {
+    'gen transitive --n 4': 'c3c5c23c53d5acd5',
+    'gen transitive --n 4 --json': '59596f35be1a2b84',
+    'gen c3': '99bcd33bd2458d06',
+    'gen c3 --json': '8b82a54489211506',
+    'gen s_t --t 2': '99bcd33bd2458d06',
+    'gen s_t --t 2 --json': '8b82a54489211506',
+    'gen t_t --t 2': '99bcd33bd2458d06',
+    'gen t_t --t 2 --json': '8b82a54489211506',
+    'gen paley --q 11': '321b25e50e475241',
+    'gen paley --q 11 --json': '7d70413fa7a13586',
+    'gen chain-power --base c3 --r 2': 'a93223c90b389f84',
+    'gen chain-power --base c3 --r 2 --json': 'e129f8ad85c8de1b',
+    'gen chain-power --base transitive:2 --r 3': 'eb1481198b1f8b14',
+    'gen chain-power --base transitive:2 --r 3 --json': '606736a51fc32779',
+    'gen chain-power --base s_t:2': 'a93223c90b389f84',
+    'gen chain-power --base s_t:2 --json': 'e129f8ad85c8de1b',
+    "gen majority --orderings '0,1,2;2,0,1;1,2,0' --k 2": '99bcd33bd2458d06',
+    "gen majority --orderings '0,1,2;2,0,1;1,2,0' --k 2 --json": '8b82a54489211506',
+    "gen crossing --pairs '1-4 2-5'": '035352c6fccf7fea',
+    "gen crossing --pairs '1-4 2-5' --json": '37acc5d7c40b2306',
+    'gen u_k --k 2 --witnesses 2': '99bcd33bd2458d06',
+    'gen u_k --k 2 --witnesses 2 --json': 'e6911369ff30742a',
+    'gen random --n 6 --seed 3': '08ce8457e41753ca',
+    'gen random --n 6 --seed 3 --json': '3b9e4892a5cba498',
+    'solve chi < p7': 'b79ab6b267ea896c',
+    'solve chi --json < p7': '7fc5b6e950ed7460',
+    'solve chi < r8': '9d1980fbf656e0e2',
+    'solve chi --json < r8': '61e4ad038c5115ce',
+    'solve chi-h < p7': '8edd93e283f0bcc8',
+    'solve chi-h --json < p7': 'f31da9d6b2ee025a',
+    'solve chi-h < r8': '80ce135e564a303d',
+    'solve chi-h --json < r8': 'cf0ce74d53f3875d',
+    'solve chi-law < p7': '77b4a87a4c2d6cdd',
+    'solve chi-law --json < p7': '7d08d2d30ee7b40f',
+    'solve chi-law < r8': '9dae5dfea268381c',
+    'solve chi-law --json < r8': '175bab767e028cac',
+    'solve dom < p7': 'd801ea2f375fa209',
+    'solve dom --json < p7': '2d345ec1b5602ed4',
+    'solve dom < r8': '8d792f138737c5ab',
+    'solve dom --json < r8': 'bbf1d63c3a6f8a6a',
+    'solve edom < p7': '3119c3f212a0402e',
+    'solve edom --json < p7': '7a757da113f045bf',
+    'solve edom < r8': '23ea463d9609a698',
+    'solve edom --json < r8': '5eec8872c717f78c',
+    'solve subdom < p7': 'ad1cd66d693bf43e',
+    'solve subdom --json < p7': '23aa534f84ecaca5',
+    'solve subdom < r8': 'beda431cbaa80d82',
+    'solve subdom --json < r8': 'a754171ea82cb03d',
+    'analyze numbering < p7': 'a60459a4a3b65055',
+    'analyze numbering --json < p7': 'fc9cbef5eb95a600',
+    'analyze numbering < r8': 'f8b06186963c21ed',
+    'analyze numbering --json < r8': '0ba467edd306b526',
+    'analyze diamonds < p7': '8b8d61e2b3cbf59d',
+    'analyze diamonds --json < p7': 'e1e7ab08b7953e51',
+    'analyze diamonds < r8': '6ec35c7fdf518666',
+    'analyze diamonds --json < r8': '12498ce78651a8f2',
+    'analyze pairs < p7': 'b2d2d7c5800ca2ba',
+    'analyze pairs --json < p7': 'ed892c067b78b8f5',
+    'analyze pairs < r8': 'a79ef2cdcafba904',
+    'analyze pairs --json < r8': 'db4843dacf269ea8',
+    'analyze poset < p7': 'e4384cb308b35164',
+    'analyze poset --json < p7': 'baae386e32644148',
+    'analyze poset < r8': 'c3d8bdf723276872',
+    'analyze poset --json < r8': '8a61d5ddacc90dcf',
+    'numbering min-local < p7': 'dbfaf4e1e14bab97',
+    'numbering min-local --json < p7': '4b1081337632cda0',
+    'numbering min-local < r8': '7df22c965b83381a',
+    'numbering min-local --json < r8': 'bf1cc906f8c90d2b',
+    'numbering min-local --mode heuristic < p7': 'dbfaf4e1e14bab97',
+    'numbering min-local --mode heuristic --json < p7': '9ca564b13fcf30a6',
+    'numbering min-local --mode heuristic < r8': 'fe0e2839cb89f6c0',
+    'numbering min-local --mode heuristic --json < r8': '010dd415959285e2',
+    'numbering diamond-free < p7': 'fe37565ec1d8ff95',
+    'numbering diamond-free --json < p7': '6e537e2fb832f431',
+    'numbering diamond-free < r8': 'b0fb47e0e6ec062c',
+    'numbering diamond-free --json < r8': 'c863e04495908e11',
+    'numbering diamond-free --c 0 < p7': 'fe37565ec1d8ff95',
+    'numbering diamond-free --c 0 --json < p7': '6e537e2fb832f431',
+    'numbering diamond-free --c 0 < r8': '21d547470dc4961d',
+    'numbering diamond-free --c 0 --json < r8': '84671a6239527a2c',
+    'solve chi-h --h t_t:2 < p7': '8edd93e283f0bcc8',
+    'solve chi-h --h t_t:2 --json < p7': 'f31da9d6b2ee025a',
+    'solve edom --a 0,1,2 < p7': '23ea463d9609a698',
+    'solve edom --a 0,1,2 --json < p7': '5eec8872c717f78c',
+    'analyze numbering --order 6,5,4,3,2,1,0 < p7': 'a60459a4a3b65055',
+    'analyze numbering --order 6,5,4,3,2,1,0 --json < p7': 'b8c12d76210185b6',
+    'analyze poset --order 0,1,2,3,4,5,6 < p7': '6461d4287b58cc04',
+    'analyze poset --order 0,1,2,3,4,5,6 --json < p7': 'baae386e32644148',
+    'solve subdom < r22': 'b069aa8d4fd607ad',
+    'solve subdom --json < r22': '56586d517f3adf9a',
+    'scan chi2 --nmax 4': 'd6016181acbb33f6',
+    'scan chi2 --nmax 4 --json': '55983d97677d1182',
+    'scan tribip --nmax 4': '88c543e25e505311',
+    'scan tribip --nmax 4 --json': 'd2c2a942880ee9c8',
+    'scan theorem-suite --nmax 4': '752649c513b7ec18',
+    'scan theorem-suite --nmax 4 --json': 'a2f27c1ebe5e6505',
+    'scan backdom --nmax 4': '8ca15ac038937e12',
+    'scan backdom --nmax 4 --json': '7185876eec988e38',
+    'scan legends --nmax 4': 'c8eef24ba2b72649',
+    'scan legends --nmax 4 --json': '83deb5be174cfc4f',
+    'scan legends --h-n 2 --sigma 1,0 --nmax 4': 'c8eef24ba2b72649',
+    'scan legends --h-n 2 --sigma 1,0 --nmax 4 --json': '7d7998565f6b1761',
+    'scan tribip --nmax 6': '496f20325493e273',
+    'scan tribip --nmax 6 --json': '34c61093fb04eef0',
+    'enum --n 5': 'e695bd1164c0e325',
+    'enum --n 5 --json': '87fccab516c89765',
+    'solve chi < bad': '38547174249f582d',
+    'solve chi --json < bad': '38547174249f582d',
+    'solve chi < n65': 'b68ab02c976f7f47',
+    'solve chi --json < n65': 'b68ab02c976f7f47',
+    'enum --n 9': '1859211150e06d43',
+    'enum --n 9 --json': '1859211150e06d43',
+}
+
+
+def test_cli_output_is_pinned(run):
+    assert cli_digests(run) == CLI_DIGESTS
