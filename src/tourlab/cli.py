@@ -5,9 +5,10 @@ subcommands pipe:
 
     tourlab gen s_t --t 3 | tourlab solve chi
 
-Shared flags (--json, --seed, --deadline-seconds, --nmax) are accepted
-after every subcommand. Exit codes: 0 success, 1 a scan found a
-witness, 2 usage or malformed input, 3 capacity or deadline exceeded.
+Each subcommand takes only the shared flags it reads: --json on all of
+them, --seed on gen, solve and analyze, --deadline-seconds on all but gen,
+and --nmax on scan. Exit codes: 0 success, 1 a scan found a witness, 2
+usage or malformed input, 3 capacity or deadline exceeded.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import constructions, enumeration, formats, solvers, structure
 from .core import (
@@ -54,6 +55,10 @@ def _vertices(mask: int) -> list[int]:
     return list(bits(mask))
 
 
+def _joined(items: Iterable[int]) -> str:
+    return " ".join(map(str, items))
+
+
 def _parse_vertex_list(text: str) -> int:
     try:
         return mask_of(int(x) for x in text.replace(",", " ").split())
@@ -68,11 +73,12 @@ def _parse_perm(text: str) -> Numbering:
         raise ValueError(f"expected a permutation, got {text!r}")
 
 
-def _emit(args, kind: str, data: dict, human: str):
+def _emit(args, kind: str, data: dict, human: str, path: str = "-"):
+    """Write the --json envelope or the human text (if any) to path."""
     if args.json:
-        print(json.dumps({"kind": kind, "data": data}, sort_keys=True, indent=2))
-    elif human:
-        print(human)
+        human = json.dumps({"kind": kind, "data": data}, sort_keys=True, indent=2)
+    if human:
+        _write_text(path, human + "\n")
 
 
 def _deadline(args) -> Optional[Deadline]:
@@ -81,30 +87,37 @@ def _deadline(args) -> Optional[Deadline]:
     return Deadline(args.deadline_seconds)
 
 
+# One-integer families: `gen FAMILY --n/--t` and the FAMILY:N shorthand.
+_INDEXED = {
+    "transitive": (constructions.transitive_tournament, "n"),
+    "s_t": (constructions.s_t, "t"),
+    "t_t": (constructions.t_t, "t"),
+}
+
+
 def _named_tournament(spec: str) -> Tournament:
     """A small-family shorthand: c3, transitive:N, s_t:T, t_t:T, or a file path."""
     if spec == "c3":
         return constructions.cyclic_triangle()
-    for prefix, maker in (
-        ("transitive:", constructions.transitive_tournament),
-        ("s_t:", constructions.s_t),
-        ("t_t:", constructions.t_t),
-    ):
-        if spec.startswith(prefix):
-            return maker(int(spec[len(prefix) :]))
+    family, sep, index = spec.partition(":")
+    if sep and family in _INDEXED:
+        return _INDEXED[family][0](int(index))
     return _read_tournament(spec)
+
+
+def _diamond(d) -> tuple[dict, str]:
+    """JSON payload and text of a diamond."""
+    data = {"a": d.a, "b": d.b, "p": _vertices(d.p), "q": _vertices(d.q)}
+    return data, f"a={d.a} b={d.b} p: {_joined(data['p'])} q: {_joined(data['q'])}"
 
 
 def _cmd_gen(args) -> int:
     meta: dict = {}
-    if args.family == "transitive":
-        t = constructions.transitive_tournament(args.n)
+    if args.family in _INDEXED:
+        maker, flag = _INDEXED[args.family]
+        t = maker(getattr(args, flag))
     elif args.family == "c3":
         t = constructions.cyclic_triangle()
-    elif args.family == "s_t":
-        t = constructions.s_t(args.t)
-    elif args.family == "t_t":
-        t = constructions.t_t(args.t)
     elif args.family == "paley":
         t = constructions.paley(args.q)
     elif args.family == "chain-power":
@@ -120,91 +133,53 @@ def _cmd_gen(args) -> int:
         t = ct.t
         meta["matching"] = formats.format_matching(ct.matching.pairs)
     elif args.family == "u_k":
-        witnesses = (
-            [int(x) for x in args.witnesses.replace(",", " ").split()]
-            if args.witnesses
-            else []
-        )
+        witnesses = [int(x) for x in args.witnesses.replace(",", " ").split()]
         uk = constructions.u_k(args.k, witnesses)
         t = uk.t
         meta["matching"] = formats.format_matching(uk.matching.pairs)
-    elif args.family == "random":
-        t = constructions.random_tournament(args.n, args.seed)
     else:
-        raise ValueError(f"unknown family {args.family!r}")
+        t = constructions.random_tournament(args.n, args.seed)
     _write_text(args.output, formats.emit_tmt(t))
-    if args.json:
-        data = {"n": t.n, "compact": formats.emit_compact(t), **meta}
-        print(json.dumps({"kind": "gen", "data": data}, sort_keys=True, indent=2))
+    _emit(args, "gen", {"n": t.n, "compact": formats.emit_compact(t), **meta}, "")
     return 0
+
+
+def _law(t: Tournament, spec: str) -> solvers.Law:
+    if spec == "triangles":
+        return solvers.all_triangle_law(t)
+    raw = json.loads(_read_text(spec))
+    return solvers.Law(t.n, tuple(mask_of(m) for m in raw["members"]))
 
 
 def _cmd_solve(args) -> int:
     t = _read_tournament(args.input)
     deadline = _deadline(args)
-    if args.problem == "chi":
-        got = solvers.chi(t, deadline=deadline)
-        classes = [_vertices(c) for c in got.classes]
-        _emit(
-            args,
-            "solve",
-            {"problem": "chi", "value": got.value, "classes": classes},
-            "chi = {}\nclasses: {}".format(
-                got.value, " | ".join(" ".join(map(str, c)) for c in classes)
-            ),
-        )
-    elif args.problem == "chi-h":
-        h = _named_tournament(args.h)
-        got = solvers.chi_h(t, h, deadline=deadline)
-        classes = [_vertices(c) for c in got.classes]
-        _emit(
-            args,
-            "solve",
-            {"problem": "chi-h", "value": got.value, "classes": classes},
-            "chi_h = {}\nclasses: {}".format(
-                got.value, " | ".join(" ".join(map(str, c)) for c in classes)
-            ),
-        )
-    elif args.problem == "chi-law":
-        if args.law == "triangles":
-            law = solvers.all_triangle_law(t)
+    problem = args.problem
+    if problem in ("chi", "chi-h", "chi-law"):
+        if problem == "chi":
+            got = solvers.chi(t, deadline=deadline)
+        elif problem == "chi-h":
+            got = solvers.chi_h(t, _named_tournament(args.h), deadline=deadline)
         else:
-            raw = json.loads(_read_text(args.law))
-            law = solvers.Law(t.n, tuple(mask_of(m) for m in raw["members"]))
-        got = solvers.chi_law(t, law, deadline=deadline)
+            got = solvers.chi_law(t, _law(t, args.law), deadline=deadline)
         classes = [_vertices(c) for c in got.classes]
-        _emit(
-            args,
-            "solve",
-            {"problem": "chi-law", "value": got.value, "classes": classes},
-            "chi_law = {}\nclasses: {}".format(
-                got.value, " | ".join(" ".join(map(str, c)) for c in classes)
-            ),
+        data = {"value": got.value, "classes": classes}
+        human = "{} = {}\nclasses: {}".format(
+            problem.replace("-", "_"), got.value, " | ".join(map(_joined, classes))
         )
-    elif args.problem == "dom":
+    elif problem == "dom":
         got = solvers.dom(t, deadline=deadline)
-        _emit(
-            args,
-            "solve",
-            {"problem": "dom", "value": got.value, "dominating": _vertices(got.dominating)},
-            "dom = {}\ndominating: {}".format(
-                got.value, " ".join(map(str, _vertices(got.dominating)))
-            ),
-        )
-    elif args.problem == "edom":
+        data = {"value": got.value, "dominating": _vertices(got.dominating)}
+        human = f"dom = {got.value}\ndominating: {_joined(data['dominating'])}"
+    elif problem == "edom":
         a = _parse_vertex_list(args.a) if args.a else t.full_mask
         value = solvers.edom(t, a, deadline=deadline)
-        _emit(args, "solve", {"problem": "edom", "value": value}, f"edom = {value}")
-    elif args.problem == "subdom":
-        got = solvers.subdom(t, seed=args.seed)
-        _emit(
-            args,
-            "solve",
-            {"problem": "subdom", "value": got.value, "exact": got.exact},
-            "subdom {} {}".format("=" if got.exact else ">=", got.value),
-        )
+        data, human = {"value": value}, f"edom = {value}"
     else:
-        raise ValueError(f"unknown problem {args.problem!r}")
+        got = solvers.subdom(t, seed=args.seed)
+        data = {"value": got.value, "exact": got.exact}
+        human = "subdom {} {}".format("=" if got.exact else ">=", got.value)
+    _emit(args, "solve", {"problem": problem, **data}, human)
     return 0
 
 
@@ -217,93 +192,41 @@ def _cmd_analyze(args) -> int:
         local = structure.local_chromatic_number(ot, deadline=deadline)
         strong = structure.strong_chromatic_number(ot, deadline=deadline)
         clique = structure.numbering_clique(ot, deadline=deadline)
-        _emit(
-            args,
-            "analyze",
-            {
-                "what": "numbering",
-                "order": list(order.perm),
-                "local": local,
-                "strong": strong,
-                "clique": clique,
-            },
-            f"local = {local}\nstrong = {strong}\nclique = {clique}",
-        )
+        data = {"order": list(order.perm), "local": local, "strong": strong, "clique": clique}
+        human = f"local = {local}\nstrong = {strong}\nclique = {clique}"
     elif args.what == "diamonds":
         got = structure.max_diamond(t, deadline=deadline)
         if got is None:
-            _emit(args, "analyze", {"what": "diamonds", "diamond": None}, "no diamond")
+            data, human = {"diamond": None}, "no diamond"
         else:
-            d = got.diamond
-            _emit(
-                args,
-                "analyze",
-                {
-                    "what": "diamonds",
-                    "value": got.value,
-                    "diamond": {
-                        "a": d.a,
-                        "b": d.b,
-                        "p": _vertices(d.p),
-                        "q": _vertices(d.q),
-                    },
-                },
-                "max diamond value = {}\na={} b={} p: {} q: {}".format(
-                    got.value,
-                    d.a,
-                    d.b,
-                    " ".join(map(str, _vertices(d.p))),
-                    " ".join(map(str, _vertices(d.q))),
-                ),
-            )
+            diamond, text = _diamond(got.diamond)
+            data = {"value": got.value, "diamond": diamond}
+            human = f"max diamond value = {got.value}\n{text}"
     elif args.what == "pairs":
         got = structure.best_complete_pair(t, deadline=deadline, seed=args.seed)
         pair = got.pair
-        _emit(
-            args,
-            "analyze",
-            {
-                "what": "pairs",
-                "a": _vertices(pair.a),
-                "b": _vertices(pair.b),
-                "quality": pair.quality,
-                "exact": got.exact,
-            },
-            "quality {} {}\na: {}\nb: {}".format(
-                "=" if got.exact else ">=",
-                pair.quality,
-                " ".join(map(str, _vertices(pair.a))),
-                " ".join(map(str, _vertices(pair.b))),
-            ),
+        data = {
+            "a": _vertices(pair.a),
+            "b": _vertices(pair.b),
+            "quality": pair.quality,
+            "exact": got.exact,
+        }
+        human = "quality {} {}\na: {}\nb: {}".format(
+            "=" if got.exact else ">=", pair.quality, _joined(data["a"]), _joined(data["b"])
         )
-    elif args.what == "poset":
-        if args.order:
-            ot = OrderedTournament(t, _parse_perm(args.order))
-            ok = structure.is_ordered_poset(ot)
-            _emit(
-                args,
-                "analyze",
-                {"what": "poset", "is_poset": ok, "order": list(ot.order.perm)},
-                f"ordered poset: {'yes' if ok else 'no'}",
-            )
-        else:
-            got = structure.is_poset_tournament(t)
-            _emit(
-                args,
-                "analyze",
-                {
-                    "what": "poset",
-                    "is_poset": got.is_poset,
-                    "order": list(got.order) if got.order is not None else None,
-                },
-                "poset tournament: {}".format(
-                    "yes, order " + " ".join(map(str, got.order))
-                    if got.is_poset
-                    else "no"
-                ),
-            )
-    else:
-        raise ValueError(f"unknown analysis {args.what!r}")
+    elif args.order:  # poset, under the given numbering
+        ot = OrderedTournament(t, _parse_perm(args.order))
+        ok = structure.is_ordered_poset(ot)
+        data = {"is_poset": ok, "order": list(ot.order.perm)}
+        human = f"ordered poset: {'yes' if ok else 'no'}"
+    else:  # poset, by a search for a circular order
+        got = structure.is_poset_tournament(t)
+        order = list(got.order) if got.is_poset else None
+        data = {"is_poset": got.is_poset, "order": order}
+        human = "poset tournament: " + (
+            f"yes, order {_joined(order)}" if got.is_poset else "no"
+        )
+    _emit(args, "analyze", {"what": args.what, **data}, human)
     return 0
 
 
@@ -312,49 +235,18 @@ def _cmd_numbering(args) -> int:
     deadline = _deadline(args)
     if args.what == "min-local":
         order, value = structure.min_local_numbering(t, mode=args.mode, deadline=deadline)
-        _emit(
-            args,
-            "numbering",
-            {
-                "what": "min-local",
-                "mode": args.mode,
-                "order": list(order.perm),
-                "local": value,
-            },
-            "local = {}\norder: {}".format(value, " ".join(map(str, order.perm))),
-        )
-    elif args.what == "diamond-free":
+        data = {"mode": args.mode, "order": list(order.perm), "local": value}
+        human = f"local = {value}\norder: {_joined(order.perm)}"
+    else:
         got = structure.diamond_free_numbering(t, args.c, deadline=deadline)
         if isinstance(got, Numbering):
-            _emit(
-                args,
-                "numbering",
-                {"what": "diamond-free", "result": "numbering", "order": list(got.perm)},
-                "order: " + " ".join(map(str, got.perm)),
-            )
+            data = {"result": "numbering", "order": list(got.perm)}
+            human = "order: " + _joined(got.perm)
         else:
-            _emit(
-                args,
-                "numbering",
-                {
-                    "what": "diamond-free",
-                    "result": "diamond",
-                    "diamond": {
-                        "a": got.a,
-                        "b": got.b,
-                        "p": _vertices(got.p),
-                        "q": _vertices(got.q),
-                    },
-                },
-                "diamond: a={} b={} p: {} q: {}".format(
-                    got.a,
-                    got.b,
-                    " ".join(map(str, _vertices(got.p))),
-                    " ".join(map(str, _vertices(got.q))),
-                ),
-            )
-    else:
-        raise ValueError(f"unknown numbering task {args.what!r}")
+            diamond, text = _diamond(got)
+            data = {"result": "diamond", "diamond": diamond}
+            human = "diamond: " + text
+    _emit(args, "numbering", {"what": args.what, **data}, human)
     return 0
 
 
@@ -368,43 +260,38 @@ def _cmd_scan(args) -> int:
         report = enumeration.scan_theorem_suite(args.nmax, deadline=deadline)
     elif args.name == "backdom":
         report = enumeration.scan_backdom(args.c, args.nmax, deadline=deadline)
-    elif args.name == "legends":
+    else:
         h = constructions.transitive_tournament(args.h_n)
         sigma = _parse_perm(args.sigma) if args.sigma else natural_numbering(args.h_n)
         report = enumeration.legend_frontier(h, sigma, args.nmax, deadline=deadline)
-    else:
-        raise ValueError(f"unknown scan {args.name!r}")
+    text = report.to_json()
     if args.out:
-        _write_text(args.out, report.to_json() + "\n")
-    if args.json:
-        print(json.dumps({"kind": "scan", "data": json.loads(report.to_json())},
-                         sort_keys=True, indent=2))
-    else:
-        print(f"{report.scan}: {report.outcome}")
-        if report.witness is not None:
-            print(json.dumps(report.witness, sort_keys=True))
+        _write_text(args.out, text + "\n")
+    human = f"{report.scan}: {report.outcome}"
+    if report.witness is not None:
+        human += "\n" + json.dumps(report.witness, sort_keys=True)
+    _emit(args, "scan", json.loads(text), human)
     return 1 if report.outcome == "witness" else 0
 
 
 def _cmd_enum(args) -> int:
-    lines = [formats.emit_compact(t) for t in enumeration.enumerate_all(args.n)]
-    if args.json:
-        data = {"n": args.n, "count": len(lines), "tournaments": lines}
-        text = json.dumps({"kind": "enum", "data": data}, sort_keys=True, indent=2) + "\n"
-    else:
-        text = "".join(line + "\n" for line in lines)
-    _write_text(args.output, text)
+    corpus = enumeration.enumerate_all(args.n, deadline=_deadline(args))
+    lines = [formats.emit_compact(t) for t in corpus]
+    data = {"n": args.n, "count": len(lines), "tournaments": lines}
+    _emit(args, "enum", data, "\n".join(lines), args.output)
     return 0
 
 
+def _flag(*names, **kwargs) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--json", action="store_true", help="machine-readable output")
-    shared.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-    shared.add_argument(
-        "--deadline-seconds", type=float, default=None, help="wall-clock budget"
-    )
-    shared.add_argument("--nmax", type=int, default=6, help="scan size ceiling")
+    as_json = _flag("--json", action="store_true", help="machine-readable output")
+    seed = _flag("--seed", type=int, default=0, help="seed for randomized steps")
+    deadline = _flag("--deadline-seconds", type=float, default=None, help="wall-clock budget")
 
     parser = argparse.ArgumentParser(
         prog="tourlab",
@@ -412,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", parents=[shared], help="emit a named construction")
+    gen = sub.add_parser("gen", parents=[as_json, seed], help="emit a named construction")
     gen.add_argument(
         "family",
         choices=[
@@ -443,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument("--output", default="-", help="tmt/1 destination (default stdout)")
 
-    solve = sub.add_parser("solve", parents=[shared], help="exact solvers")
+    solve = sub.add_parser("solve", parents=[as_json, seed, deadline], help="exact solvers")
     solve.add_argument(
         "problem", choices=["chi", "chi-h", "chi-law", "dom", "edom", "subdom"]
     )
@@ -452,28 +339,33 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--law", default="triangles", help="law file or 'triangles'")
     solve.add_argument("--a", default="", help="target vertices for edom")
 
-    analyze = sub.add_parser("analyze", parents=[shared], help="structure analyzers")
+    analyze = sub.add_parser(
+        "analyze", parents=[as_json, seed, deadline], help="structure analyzers"
+    )
     analyze.add_argument("what", choices=["numbering", "diamonds", "pairs", "poset"])
     analyze.add_argument("--input", default="-", help="tmt/1 source (default stdin)")
     analyze.add_argument("--order", default="", help="numbering, e.g. '2,0,1'")
 
-    numbering = sub.add_parser("numbering", parents=[shared], help="numbering search")
+    numbering = sub.add_parser(
+        "numbering", parents=[as_json, deadline], help="numbering search"
+    )
     numbering.add_argument("what", choices=["min-local", "diamond-free"])
     numbering.add_argument("--input", default="-", help="tmt/1 source (default stdin)")
     numbering.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
     numbering.add_argument("--c", type=int, default=1, help="target for diamond-free")
 
-    scan = sub.add_parser("scan", parents=[shared], help="corpus scans")
+    scan = sub.add_parser("scan", parents=[as_json, deadline], help="corpus scans")
     scan.add_argument(
         "name", choices=["chi2", "tribip", "theorem-suite", "backdom", "legends"]
     )
+    scan.add_argument("--nmax", type=int, default=6, help="scan size ceiling")
     scan.add_argument("--c", type=int, default=2, help="parameter for chi2 / backdom")
     scan.add_argument("--d", type=int, default=2, help="parameter for tribip")
     scan.add_argument("--h-n", type=int, default=2, help="pattern size for legends")
     scan.add_argument("--sigma", default="", help="pattern numbering for legends")
     scan.add_argument("--out", default="", help="write the full report here")
 
-    enum = sub.add_parser("enum", parents=[shared], help="canonical corpus")
+    enum = sub.add_parser("enum", parents=[as_json, deadline], help="canonical corpus")
     enum.add_argument("--n", type=int, required=True)
     enum.add_argument("--output", default="-", help="corpus destination (default stdout)")
 

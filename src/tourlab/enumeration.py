@@ -116,13 +116,17 @@ def _level(n: int, deadline: Optional[Deadline] = None) -> tuple[tuple[int, ...]
     return result
 
 
-def enumerate_all(n: int) -> Iterator[Tournament]:
-    """One representative per isomorphism class, ascending canonical code."""
+def enumerate_all(n: int, *, deadline: Optional[Deadline] = None) -> Iterator[Tournament]:
+    """One representative per isomorphism class, ascending canonical code.
+
+    A level not yet cached is built first, checking the deadline once per
+    parent class; nothing is yielded until the whole level is built.
+    """
     if n > ENUM_CAP:
         raise CapacityError(f"enumeration capped at {ENUM_CAP} vertices")
     if n < 0:
         raise ValueError("n must be non-negative")
-    for outs in _level(n):
+    for outs in _level(n, deadline):
         yield Tournament(n, outs)
 
 

@@ -3,6 +3,7 @@ import importlib.resources
 import io
 import json
 import shlex
+import time
 
 import jsonschema
 import pytest
@@ -24,6 +25,7 @@ from tourlab import (
     strong_chromatic_number,
     transitive_tournament,
 )
+import tourlab.enumeration as en
 from tourlab.cli import main
 
 SCHEMA = json.loads(
@@ -242,6 +244,37 @@ def test_deadline_flag_exits_three(run):
     tmt = formats.emit_tmt(s_t(4))
     code, _, err = run(["solve", "chi", "--deadline-seconds", "-1"], stdin_text=tmt)
     assert code == 3 and "error:" in err
+
+
+def test_enum_deadline_interrupts_cold_level(run, monkeypatch):
+    monkeypatch.setattr(en, "_LEVELS", {0: ((),)})
+    start = time.monotonic()
+    code, out, err = run(["enum", "--n", "7", "--deadline-seconds", "0.2"])
+    assert code == 3 and out == "" and "error:" in err
+    assert time.monotonic() - start < 2.0
+    assert 7 not in en._LEVELS
+
+
+# Each flag is accepted only by the subcommands that read it.
+REMOVED_FLAGS = [
+    ("gen c3", "--nmax 3"),
+    ("solve chi", "--nmax 3"),
+    ("analyze poset", "--nmax 3"),
+    ("numbering min-local", "--nmax 3"),
+    ("enum --n 4", "--nmax 3"),
+    ("numbering min-local", "--seed 1"),
+    ("scan chi2 --nmax 3", "--seed 1"),
+    ("enum --n 4", "--seed 1"),
+    ("gen c3", "--deadline-seconds 1"),
+]
+
+
+def test_removed_flags_exit_two(run):
+    tmt = formats.emit_tmt(cyclic_triangle())
+    for base, flag in REMOVED_FLAGS:
+        assert run(shlex.split(base), tmt)[0] == 0, base
+        code, _, err = run(shlex.split(f"{base} {flag}"), tmt)
+        assert code == 2 and "unrecognized arguments" in err, (base, flag)
 
 
 def test_help_exits_zero(run):
