@@ -2,8 +2,10 @@
 
 Vectorized numpy where the computation vectorizes (canonical codes,
 transitive tables) and plain Python loops where it is inherently sequential
-(subset DP, subset-domination scan).
+(subset DP, domination search).
 """
+
+from typing import Optional
 
 import numpy as np
 
@@ -106,43 +108,57 @@ def chi_table_from_trans(trans: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# subset-domination scan
+# domination search and subset-domination scan
 #
-# Maximum over all vertex subsets S of the domination number of the
-# subtournament induced on S. Work per subset is a feasibility test at the
-# current best (usually cheap); only subsets beating it pay for an exact
-# solve.
+# A vertex is covered by X when it lies in X or has an in-neighbour in X.
+# The search branches on the lowest uncovered vertex: it, or one of its
+# in-neighbours, must be in X. The scan takes the maximum over subsets S of
+# the domination number of the subtournament induced on S. Work per subset
+# is a feasibility test at the current best (usually cheap); only subsets
+# beating it pay for an exact solve.
 # ---------------------------------------------------------------------------
 
-def _dom_feasible(out_sets, in_sets, mask, und, k):
+def dom_search(out_sets, in_sets, within: int, und: int, k: int,
+               deadline=None) -> Optional[int]:
+    """A set X of at most k vertices of within covering und, or None.
+
+    Candidates are tried in index order; the deadline, if any, is checked
+    once per search node.
+    """
     if und == 0:
-        return True
+        return 0
     if k == 0:
-        return False
+        return None
+    if deadline is not None:
+        deadline.check()
     u = (und & -und).bit_length() - 1
-    cand = (in_sets[u] | (1 << u)) & mask
+    cand = (in_sets[u] | (1 << u)) & within
     while cand:
         c = cand & -cand
         cand ^= c
-        ci = c.bit_length() - 1
-        if _dom_feasible(out_sets, in_sets, mask,
-                         und & ~(out_sets[ci] | c), k - 1):
-            return True
-    return False
+        rest = und & ~(out_sets[c.bit_length() - 1] | c)
+        x = dom_search(out_sets, in_sets, within, rest, k - 1, deadline)
+        if x is not None:
+            return x | c
+    return None
 
 
-def subdom_scan(out_sets, n: int) -> int:
-    """max over subsets S of dom(induced subtournament on S)."""
+def subdom_scan(out_sets, n: int, masks=None, deadline=None) -> int:
+    """max over nonempty subsets S of dom(induced subtournament on S).
+
+    S runs over every nonempty subset, or over the given nonempty masks.
+    """
     if n == 0:
         return 0
     full = (1 << n) - 1
     in_sets = [full & ~(o | (1 << v)) for v, o in enumerate(out_sets)]
     best = 0
-    for mask in range(1, 1 << n):
-        if best >= 1 and _dom_feasible(out_sets, in_sets, mask, mask, best):
+    for mask in range(1, 1 << n) if masks is None else masks:
+        if best >= 1 and dom_search(out_sets, in_sets, mask, mask, best,
+                                    deadline) is not None:
             continue
         k = best + 1
-        while not _dom_feasible(out_sets, in_sets, mask, mask, k):
+        while dom_search(out_sets, in_sets, mask, mask, k, deadline) is None:
             k += 1
         best = k
     return best

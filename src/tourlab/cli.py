@@ -176,7 +176,7 @@ def _cmd_solve(args) -> int:
         value = solvers.edom(t, a, deadline=deadline)
         data, human = {"value": value}, f"edom = {value}"
     else:
-        got = solvers.subdom(t, seed=args.seed)
+        got = solvers.subdom(t, seed=args.seed, deadline=deadline)
         data = {"value": got.value, "exact": got.exact}
         human = "subdom {} {}".format("=" if got.exact else ">=", got.value)
     _emit(args, "solve", {"problem": problem, **data}, human)

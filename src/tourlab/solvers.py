@@ -260,25 +260,8 @@ def _greedy_dom(t: Tournament, targets: int) -> int:
     return x
 
 
-def _dom_search(
-    t: Tournament, und: int, k: int, deadline: Optional[Deadline]
-) -> Optional[int]:
-    """A set X with |X| <= k covering every und vertex (in X or out-dominated), else None."""
-    if und == 0:
-        return 0
-    if k == 0:
-        return None
-    if deadline is not None:
-        deadline.check()
-    u = (und & -und).bit_length() - 1
-    cands = [u] + list(bits(t.in_set(u)))
-    cands.sort(key=lambda c: (-((1 << c | t.out_sets[c]) & und).bit_count(), c))
-    for c in cands:
-        cover = 1 << c | t.out_sets[c]
-        sub = _dom_search(t, und & ~cover, k - 1, deadline)
-        if sub is not None:
-            return sub | 1 << c
-    return None
+def _in_sets(t: Tournament) -> list[int]:
+    return [t.in_set(v) for v in range(t.n)]
 
 
 def dom(t: Tournament, deadline: Optional[Deadline] = None) -> DomResult:
@@ -287,8 +270,9 @@ def dom(t: Tournament, deadline: Optional[Deadline] = None) -> DomResult:
         return DomResult(0, 0)
     greedy = _greedy_dom(t, t.full_mask)
     ub = greedy.bit_count()
+    in_sets = _in_sets(t)
     for k in range(1, ub):
-        x = _dom_search(t, t.full_mask, k, deadline)
+        x = _kernels.dom_search(t.out_sets, in_sets, t.full_mask, t.full_mask, k, deadline)
         if x is not None:
             return DomResult(x.bit_count(), x)
     return DomResult(ub, greedy)
@@ -301,13 +285,16 @@ def edom(t: Tournament, a: int, deadline: Optional[Deadline] = None) -> int:
     if a == 0:
         return 0
     ub = _greedy_dom(t, a).bit_count()
+    in_sets = _in_sets(t)
     for k in range(1, ub):
-        if _dom_search(t, a, k, deadline) is not None:
+        if _kernels.dom_search(t.out_sets, in_sets, t.full_mask, a, k, deadline) is not None:
             return k
     return ub
 
 
-def subdom(t: Tournament, seed: int = 0) -> SubdomResult:
+def subdom(
+    t: Tournament, seed: int = 0, deadline: Optional[Deadline] = None
+) -> SubdomResult:
     """Largest domination number over all induced subtournaments.
 
     Exhaustive over all 2^n subsets up to n = 20. Beyond that the result is a
@@ -317,15 +304,13 @@ def subdom(t: Tournament, seed: int = 0) -> SubdomResult:
     if t.n == 0:
         return SubdomResult(0, True)
     if t.n <= 20:
-        return SubdomResult(_kernels.subdom_scan(t.out_sets, t.n), True)
-    best = dom(t).value
+        return SubdomResult(_kernels.subdom_scan(t.out_sets, t.n, deadline=deadline), True)
     masks = {t.out_sets[v] for v in range(t.n)} | {t.in_set(v) for v in range(t.n)}
     rng = np.random.Generator(np.random.PCG64(seed))
     for _ in range(2000):
         masks.add(int(rng.integers(0, 1 << t.n)))
-    for m in masks:
-        sub = induce(t, m).sub
-        best = max(best, dom(sub).value)
+    masks.discard(0)
+    best = _kernels.subdom_scan(t.out_sets, t.n, [t.full_mask, *masks], deadline)
     return SubdomResult(best, False)
 
 

@@ -62,3 +62,25 @@ def test_kernels_on_the_empty_tournament():
     assert chi_all_subsets(t).tolist() == [0]
     assert _kernels.transitive_table(t.out_sets, 0).tolist() == [1]
     assert _kernels.subdom_scan(t.out_sets, 0) == 0
+
+
+def test_dom_search_finds_minimum_dominating_sets_inside_a_mask():
+    t = random_tournament(10, seed=4)
+    in_sets = [t.in_set(v) for v in range(t.n)]
+    for mask in _sample_subsets(t.n, seed=1, k=30):
+        want = orc.dom_by_combinations(t, mask)
+        assert _kernels.dom_search(t.out_sets, in_sets, mask, mask, want - 1) is None
+        x = _kernels.dom_search(t.out_sets, in_sets, mask, mask, want)
+        assert x is not None and x & ~mask == 0 and x.bit_count() <= want
+        hit = x
+        for v in range(t.n):
+            if x >> v & 1:
+                hit |= t.out_sets[v]
+        assert mask & ~hit == 0
+
+
+def test_subdom_scan_over_given_masks():
+    t = random_tournament(12, seed=5)
+    masks = _sample_subsets(t.n, seed=2, k=25)
+    got = _kernels.subdom_scan(t.out_sets, t.n, masks)
+    assert got == max(orc.dom_by_combinations(t, s) for s in masks)

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -33,6 +34,7 @@ from tourlab import (
     induce,
     is_transitive_set,
     mask_of,
+    paley,
     random_tournament,
     s_t,
     subdom,
@@ -300,3 +302,12 @@ def test_deadline_propagates():
         chi(t, deadline=Deadline(-1.0))
     with pytest.raises(DeadlineExceeded):
         dom(t, deadline=Deadline(-1.0))
+
+
+def test_subdom_honours_deadline():
+    with pytest.raises(DeadlineExceeded):
+        subdom(random_tournament(22, seed=9), deadline=Deadline(-1.0))
+    start = time.monotonic()
+    with pytest.raises(DeadlineExceeded):
+        subdom(paley(19), deadline=Deadline(0.05))
+    assert time.monotonic() - start < 0.5
