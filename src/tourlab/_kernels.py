@@ -80,13 +80,18 @@ def transitive_table(out_sets, n: int) -> np.ndarray:
 # it, and enlarging a class never hurts the remainder.
 # ---------------------------------------------------------------------------
 
-def chi_table_from_trans(trans: np.ndarray) -> np.ndarray:
-    """chi of every vertex subset, given the transitive-subset table."""
+def chi_table_from_trans(trans: np.ndarray, deadline=None) -> np.ndarray:
+    """chi of every vertex subset, given the transitive-subset table.
+
+    The deadline, if any, is checked once per subset.
+    """
     size = len(trans)
     tbl = np.zeros(size, np.uint8)
     tr = trans.tolist()
     out = tbl.tolist()
     for s in range(1, size):
+        if deadline is not None:
+            deadline.check()
         if tr[s]:
             out[s] = 1
             continue

@@ -145,16 +145,17 @@ def chi(t: Tournament, s: Optional[int] = None, deadline: Optional[Deadline] = N
     return ChiResult(value, classes)
 
 
-def chi_all_subsets(t: Tournament) -> np.ndarray:
+def chi_all_subsets(t: Tournament, deadline: Optional[Deadline] = None) -> np.ndarray:
     """Table of chromatic numbers for all 2^n vertex subsets (n <= 20).
 
     Subset dynamic programming over the transitivity table; entry m is the
-    chromatic number of the subtournament induced on mask m.
+    chromatic number of the subtournament induced on mask m. The deadline is
+    checked once per subset.
     """
     if t.n > 20:
         raise CapacityError(f"subset table for n={t.n} exceeds the n<=20 guard")
     trans = _kernels.transitive_table(t.out_sets, t.n)
-    return _kernels.chi_table_from_trans(trans)
+    return _kernels.chi_table_from_trans(trans, deadline)
 
 
 def chi_h(t: Tournament, h: Tournament, deadline: Optional[Deadline] = None) -> ChiResult:

@@ -123,7 +123,7 @@ def best_complete_pair(
     only a lower bound (exact=False).
     """
     if t.n <= 15:
-        tbl = chi_all_subsets(t)
+        tbl = chi_all_subsets(t, deadline)
         best = CompletePair(0, 0, 0)
         for b in range(1 << t.n):
             if deadline is not None and b % 4096 == 0:
@@ -174,7 +174,7 @@ def max_diamond(t: Tournament, deadline: Optional[Deadline] = None) -> Optional[
     """
     if t.n > 15:
         raise CapacityError("exact diamond search capped at 15 vertices")
-    tbl = chi_all_subsets(t)
+    tbl = chi_all_subsets(t, deadline)
     best: Optional[DiamondResult] = None
     for a in range(t.n):
         if deadline is not None:
@@ -198,7 +198,7 @@ def _subset_chi(t: Tournament, table, deadline: Optional[Deadline]):
     if table is not None:
         return lambda m: int(table[m])
     if t.n <= 20:
-        tbl = chi_all_subsets(t)
+        tbl = chi_all_subsets(t, deadline)
         return lambda m: int(tbl[m])
     return lambda m: chi(t, m, deadline).value
 
@@ -341,7 +341,7 @@ def min_local_numbering(
         raise CapacityError("exact numbering search capped at 9 vertices")
     if t.n == 0:
         return Numbering(()), 0
-    tbl = chi_all_subsets(t)
+    tbl = chi_all_subsets(t, deadline)
     full = t.full_mask
     best_val = t.n + 1
     best_perm: tuple[int, ...] = ()

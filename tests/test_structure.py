@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import oracles as orc
 from tourlab import (
     CapacityError,
     CompletePair,
+    Deadline,
+    DeadlineExceeded,
     Diamond,
     Numbering,
     OrderedTournament,
@@ -350,3 +353,20 @@ def test_inout_witness():
     assert v is not None
     tbl = chi_all_subsets(big)
     assert int(tbl[big.out_set(v)]) >= 2 and int(tbl[big.in_set(v)]) >= 2
+
+
+def test_subset_table_path_honours_deadline():
+    t = random_tournament(16, seed=1)
+    ot = OrderedTournament(t, natural_numbering(t.n))
+    start = time.monotonic()
+    with pytest.raises(DeadlineExceeded):
+        local_chromatic_number(ot, deadline=Deadline(0.05))
+    assert time.monotonic() - start < 0.5
+    t = random_tournament(15, seed=1)
+    for analyzer in (max_diamond, best_complete_pair):
+        start = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            analyzer(t, deadline=Deadline(0.05))
+        assert time.monotonic() - start < 0.5
+    with pytest.raises(DeadlineExceeded):
+        min_local_numbering(random_tournament(9, seed=1), deadline=Deadline(-1.0))
