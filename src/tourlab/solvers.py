@@ -261,36 +261,28 @@ def _greedy_dom(t: Tournament, targets: int) -> int:
     return x
 
 
-def _in_sets(t: Tournament) -> list[int]:
-    return [t.in_set(v) for v in range(t.n)]
+def _min_dom(t: Tournament, targets: int, deadline: Optional[Deadline]) -> int:
+    """A smallest X in V covering targets, by deepening below the greedy bound."""
+    greedy = _greedy_dom(t, targets)
+    in_sets = [t.in_set(v) for v in range(t.n)]
+    for k in range(1, greedy.bit_count()):
+        x = _kernels.dom_search(t.out_sets, in_sets, t.full_mask, targets, k, deadline)
+        if x is not None:
+            return x
+    return greedy
 
 
 def dom(t: Tournament, deadline: Optional[Deadline] = None) -> DomResult:
     """Minimum dominating set: every vertex outside it has an in-neighbour in it."""
-    if t.n == 0:
-        return DomResult(0, 0)
-    greedy = _greedy_dom(t, t.full_mask)
-    ub = greedy.bit_count()
-    in_sets = _in_sets(t)
-    for k in range(1, ub):
-        x = _kernels.dom_search(t.out_sets, in_sets, t.full_mask, t.full_mask, k, deadline)
-        if x is not None:
-            return DomResult(x.bit_count(), x)
-    return DomResult(ub, greedy)
+    x = _min_dom(t, t.full_mask, deadline)
+    return DomResult(x.bit_count(), x)
 
 
 def edom(t: Tournament, a: int, deadline: Optional[Deadline] = None) -> int:
     """External domination: smallest X anywhere in V with a \\ X out-dominated by X."""
     if a & ~t.full_mask:
         raise ValueError("a is not a subset of the vertex set")
-    if a == 0:
-        return 0
-    ub = _greedy_dom(t, a).bit_count()
-    in_sets = _in_sets(t)
-    for k in range(1, ub):
-        if _kernels.dom_search(t.out_sets, in_sets, t.full_mask, a, k, deadline) is not None:
-            return k
-    return ub
+    return _min_dom(t, a, deadline).bit_count()
 
 
 def subdom(
@@ -302,8 +294,6 @@ def subdom(
     sampled lower bound (whole set, every in/out neighbourhood, and seeded
     random subsets) and is flagged exact=False.
     """
-    if t.n == 0:
-        return SubdomResult(0, True)
     if t.n <= 20:
         return SubdomResult(_kernels.subdom_scan(t.out_sets, t.n, deadline=deadline), True)
     masks = {t.out_sets[v] for v in range(t.n)} | {t.in_set(v) for v in range(t.n)}
