@@ -1,8 +1,8 @@
 """Bitset kernels behind the hot loops.
 
-Vectorized numpy where the computation vectorizes (canonical codes,
-transitive tables) and plain Python loops where it is inherently sequential
-(subset DP, domination search).
+Vectorized numpy where the computation vectorizes (transitive tables) and
+plain Python loops over int bitsets where it is sequential (canonical-code
+branch-and-bound, subset DP, domination search).
 """
 
 from typing import Optional
@@ -20,22 +20,37 @@ def backend() -> str:
 #
 # The code of a labeled tournament is the C(n,2)-bit integer whose bits are
 # the entries (i,j) with i > j in row-major order ((1,0),(2,0),(2,1),...),
-# first bit most significant, entry = 1 iff i -> j. Minimizing over a
-# permutation table gives the canonical form.
+# first bit most significant, entry = 1 iff i -> j. The canonical form is the
+# least code over all relabellings. Rows have fixed widths, so the least code
+# has the least row 1, then the least row 2 among those, and so on: the
+# relabelling is built one position at a time, and only the prefixes whose
+# rows so far tie the minimum are extended. Row i of a prefix extended by v
+# is v's out-bits against the prefix vertices, earliest vertex first.
 # ---------------------------------------------------------------------------
 
-def min_code(adj: np.ndarray, perms: np.ndarray) -> int:
-    """Minimum lower-triangular code of adj over the given permutations."""
-    n = adj.shape[0]
-    if n < 2:
-        return 0
-    tri_i = np.array([i for i in range(1, n) for _ in range(i)])
-    tri_j = np.array([j for i in range(1, n) for j in range(i)])
-    nbits = len(tri_i)
-    weights = (np.int64(1) << np.arange(nbits - 1, -1, -1,
-                                        dtype=np.int64))
-    bits = adj[perms[:, tri_i], perms[:, tri_j]].astype(np.int64)
-    return int((bits * weights).sum(axis=1).min())
+def min_code(out_sets, n: int) -> int:
+    """Least lower-triangular code of the tournament over all relabellings."""
+    code = 0
+    tied = [()]
+    for i in range(n):
+        best = 1 << i
+        keep = []
+        for prefix in tied:
+            for v in range(n):
+                if v in prefix:
+                    continue
+                out = out_sets[v]
+                row = 0
+                for u in prefix:
+                    row = row << 1 | out >> u & 1
+                if row <= best:
+                    if row < best:
+                        best = row
+                        keep = []
+                    keep.append(prefix + (v,))
+        code = code << i | best
+        tied = keep
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,17 @@ def _law(t: Tournament, spec: str) -> solvers.Law:
     if spec == "triangles":
         return solvers.all_triangle_law(t)
     raw = json.loads(_read_text(spec))
-    return solvers.Law(t.n, tuple(mask_of(m) for m in raw["members"]))
+    members = raw.get("members") if isinstance(raw, dict) else None
+    if not isinstance(members, list) or not all(
+        isinstance(m, list)
+        and all(type(v) is int and 0 <= v < t.n for v in m)
+        for m in members
+    ):
+        raise formats.FormatError(
+            'law file must be an object whose "members" is a list of '
+            f"lists of vertex indices below {t.n}"
+        )
+    return solvers.Law(t.n, tuple(mask_of(m) for m in members))
 
 
 def _cmd_solve(args) -> int:
@@ -396,7 +406,7 @@ def main(argv=None) -> int:
     except (CapacityError, DeadlineExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,13 @@
 """Canonical enumeration of small tournaments and the scanning harness.
 
 Canonical form is the lexicographically least lower-triangle code over all
-vertex permutations, found by exhaustive minimization (exact by brute force,
-which is the point at desk scale). Generation is orderly: canonical parents
-are extended by every in/out pattern of one new final vertex, and a child
-survives iff it is its own canonical form. Deleting the last vertex of a
-canonical code leaves a canonical prefix, so each class appears exactly once.
+vertex permutations. The kernel finds it exactly by building the relabelling
+one row at a time and extending only the prefixes that tie the least rows so
+far, so no permutation table is materialized. Generation is orderly:
+canonical parents are extended by every in/out pattern of one new final
+vertex, and a child survives iff it is its own canonical form. Deleting the
+last vertex of a canonical code leaves a canonical prefix, so each class
+appears exactly once.
 
 Scans walk that corpus, verify proved theorems instance-by-instance, and hunt
 witnesses against open conjectures; results are SearchReports whose witnesses
@@ -33,7 +35,6 @@ from .core import (
     OrderedTournament,
     Tournament,
     backedge_graph,
-    bits,
     complete_to,
     induce,
     is_transitive,
@@ -45,24 +46,7 @@ from .structure import local_chromatic_number, max_diamond, ordered_contains
 
 ENUM_CAP = 7
 
-_PERMS: dict[int, np.ndarray] = {}
 _LEVELS: dict[int, tuple[tuple[int, ...], ...]] = {0: ((),)}
-
-
-def _perms(n: int) -> np.ndarray:
-    got = _PERMS.get(n)
-    if got is None:
-        got = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-        _PERMS[n] = got
-    return got
-
-
-def _adj_matrix(t: Tournament) -> np.ndarray:
-    adj = np.zeros((t.n, t.n), dtype=np.uint8)
-    for v in range(t.n):
-        for u in bits(t.out_sets[v]):
-            adj[v, u] = 1
-    return adj
 
 
 @dataclass(frozen=True)
@@ -78,7 +62,7 @@ def canonical_code(t: Tournament) -> int:
         raise CapacityError("exhaustive canonicalization capped at 8 vertices")
     if t.n < 2:
         return 0
-    return int(_kernels.min_code(_adj_matrix(t), _perms(t.n)))
+    return _kernels.min_code(t.out_sets, t.n)
 
 
 def canonical_form(t: Tournament) -> CanonicalForm:

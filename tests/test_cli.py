@@ -127,6 +127,28 @@ def test_solve_chi_law_from_file(run, tmp_path):
     assert _data(out, "solve")["value"] >= 1
 
 
+def test_missing_files_and_malformed_laws_exit_two(run, tmp_path):
+    tmt = formats.emit_tmt(cyclic_triangle())
+    missing = str(tmp_path / "missing.tmt")
+    invocations = [
+        (["solve", "chi", "--input", missing], ""),
+        (["solve", "chi-h", "--h", missing], tmt),
+        (["gen", "chain-power", "--base", missing], ""),
+        (["solve", "chi-law", "--law", missing], tmt),
+    ]
+    bad_laws = ["{}", "[1]", '{"members": 3}', '{"members": [1]}',
+                '{"members": [[0, "1"]]}', '{"members": [[0, true]]}',
+                '{"members": [[0, 3]]}', '{"members": [[-1]]}']
+    for i, text in enumerate(bad_laws):
+        law = tmp_path / f"law{i}.json"
+        law.write_text(text)
+        invocations.append((["solve", "chi-law", "--law", str(law)], tmt))
+    for argv, stdin_text in invocations:
+        code, out, err = run(argv, stdin_text=stdin_text)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
 def test_solve_subdom_reports_exactness(run):
     tmt = formats.emit_tmt(s_t(2))
     code, out, _ = run(["solve", "subdom", "--json"], stdin_text=tmt)
@@ -248,9 +270,11 @@ def test_deadline_flag_exits_three(run):
 
 
 def test_enum_deadline_interrupts_cold_level(run, monkeypatch):
-    monkeypatch.setattr(en, "_LEVELS", {0: ((),)})
+    # levels 0-6 stay warm, so the deadline is measured against the level-7
+    # build alone (about 0.7 s)
+    monkeypatch.setattr(en, "_LEVELS", {n: en._level(n) for n in range(7)})
     start = time.monotonic()
-    code, out, err = run(["enum", "--n", "7", "--deadline-seconds", "0.2"])
+    code, out, err = run(["enum", "--n", "7", "--deadline-seconds", "0.1"])
     assert code == 3 and out == "" and "error:" in err
     assert time.monotonic() - start < 2.0
     assert 7 not in en._LEVELS

@@ -221,10 +221,12 @@ def test_deadline_interrupts_scan():
 def test_deadline_interrupts_cold_corpus_build(monkeypatch):
     from tourlab import Deadline, DeadlineExceeded
 
-    monkeypatch.setattr(en, "_LEVELS", {0: ((),)})
+    # levels 0-6 stay warm, so the deadline bites inside the level-7 build
+    # (about 0.7 s), not in the few ms of scanning below it
+    monkeypatch.setattr(en, "_LEVELS", {n: en._level(n) for n in range(7)})
     start = time.monotonic()
     with pytest.raises(DeadlineExceeded):
-        scan_chi2(2, 7, deadline=Deadline(0.5))
+        scan_chi2(2, 7, deadline=Deadline(0.1))
     assert time.monotonic() - start < 2.0
     assert 7 not in en._LEVELS
 

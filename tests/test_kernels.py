@@ -8,7 +8,9 @@ import tourlab._kernels as _kernels
 from tourlab import (
     chi,
     chi_all_subsets,
+    formats,
     is_transitive_set,
+    paley,
     random_tournament,
     transitive_tournament,
 )
@@ -30,14 +32,14 @@ def test_chi_table_matches_solver():
 
 
 def test_min_code_matches_relabelling_oracle():
-    from tourlab import formats
-    from tourlab.enumeration import _adj_matrix, _perms
-
-    for seed in range(4):
-        t = random_tournament(5, seed)
-        want = orc.canonical_code_by_relabelling(5, formats.tournament_code(t))
-        got = int(_kernels.min_code(_adj_matrix(t), _perms(5)))
-        assert got == want
+    # every labelled tournament on 5 vertices, the tie-heavy paley(7) and
+    # transitive_tournament(7), and random 8-vertex inputs
+    cases = [formats.tournament_from_code(5, code) for code in range(1 << 10)]
+    cases += [paley(7), transitive_tournament(7)]
+    cases += [random_tournament(8, seed) for seed in (0, 1)]
+    for t in cases:
+        want = orc.canonical_code_by_relabelling(t.n, formats.tournament_code(t))
+        assert _kernels.min_code(t.out_sets, t.n) == want
 
 
 def test_subdom_scan_matches_oracle():
