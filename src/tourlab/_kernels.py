@@ -1,8 +1,8 @@
 """Bitset kernels behind the hot loops.
 
-Vectorized numpy where the computation vectorizes (transitive tables) and
-plain Python loops over int bitsets where it is sequential (canonical-code
-branch-and-bound, subset DP, domination search).
+Vectorized numpy where the computation vectorizes (transitive tables, chi
+tables by zeta/Mobius cover products) and plain Python loops over int bitsets
+where it is sequential (canonical-code branch-and-bound, domination search).
 """
 
 from typing import Optional
@@ -87,44 +87,59 @@ def transitive_table(out_sets, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# chromatic-number table (subset DP)
+# chromatic-number table (cover products)
 #
-# chi[S] = 0 for empty S, 1 for transitive S, else 1 + min over transitive
-# T <= S containing the least vertex of S of chi[S \ T]. Restricting T to
-# the class of the least vertex loses nothing: some optimal class contains
-# it, and enlarging a class never hurts the remainder.
+# zeta turns a[S] into the sum of a[T] over the subsets T of S, one pass per
+# coordinate; the Mobius transform (inverse=True) undoes it. Let cover_1 be
+# the transitive table (the empty set counts as transitive) and
+#   cover_k = [mobius(zeta(cover_{k-1}) * zeta(trans)) > 0].
+# Before the threshold, entry S counts the pairs (X, Y) with X covered by
+# k-1 transitive sets, Y transitive and X | Y = S, so cover_k[S] says S is
+# covered by k transitive sets; chi[S] is the least such k. Exactness in
+# int64: at every pass of either transform, entry S counts pairs (X, Y)
+# whose union is pinned to S on the coordinates processed so far, so values
+# stay between 0 and 4^n <= 2^40 under the n <= 20 guard.
 # ---------------------------------------------------------------------------
+
+def zeta(a: np.ndarray, deadline=None, inverse: bool = False) -> np.ndarray:
+    """Subset-sum (or, inverse, Mobius) transform of a, in place.
+
+    a has 2**n entries indexed by vertex mask. The deadline, if any, is
+    checked once per pass over a coordinate.
+    """
+    for i in range(len(a).bit_length() - 1):
+        if deadline is not None:
+            deadline.check()
+        pairs = a.reshape(-1, 2, 1 << i)
+        if inverse:
+            pairs[:, 1] -= pairs[:, 0]
+        else:
+            pairs[:, 1] += pairs[:, 0]
+    return a
+
 
 def chi_table_from_trans(trans: np.ndarray, deadline=None) -> np.ndarray:
     """chi of every vertex subset, given the transitive-subset table.
 
-    The deadline, if any, is checked once per subset.
+    One pair of transforms per colour; the deadline, if any, is checked once
+    per transform pass.
     """
-    size = len(trans)
-    tbl = np.zeros(size, np.uint8)
-    tr = trans.tolist()
-    out = tbl.tolist()
-    for s in range(1, size):
-        if deadline is not None:
-            deadline.check()
-        if tr[s]:
-            out[s] = 1
-            continue
-        low = s & (-s)
-        rest = s ^ low
-        best = 255
-        sub = rest
-        while True:
-            t = sub | low
-            if tr[t]:
-                v = 1 + out[s ^ t]
-                if v < best:
-                    best = v
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        out[s] = best
-    return np.array(out, dtype=np.uint8)
+    cover = trans.astype(np.int64)
+    cover[0] = 1
+    zt = zeta(cover.copy(), deadline)
+    hit = cover > 0
+    tbl = np.zeros(len(trans), np.uint8)
+    # tbl counts the rounds that leave a subset uncovered: chi is one more,
+    # except for the empty set
+    while not hit.all():
+        tbl += ~hit
+        zeta(cover, deadline)
+        cover *= zt
+        zeta(cover, deadline, inverse=True)
+        np.greater(cover, 0, out=hit)
+        cover[:] = hit
+    tbl[1:] += 1
+    return tbl
 
 
 # ---------------------------------------------------------------------------

@@ -148,9 +148,10 @@ def chi(t: Tournament, s: Optional[int] = None, deadline: Optional[Deadline] = N
 def chi_all_subsets(t: Tournament, deadline: Optional[Deadline] = None) -> np.ndarray:
     """Table of chromatic numbers for all 2^n vertex subsets (n <= 20).
 
-    Subset dynamic programming over the transitivity table; entry m is the
+    Cover products over the transitivity table, one zeta/Mobius round per
+    colour in int64 (exact: counts stay at most 4^n <= 2^40); entry m is the
     chromatic number of the subtournament induced on mask m. The deadline is
-    checked once per subset.
+    checked once per transform pass.
     """
     if t.n > 20:
         raise CapacityError(f"subset table for n={t.n} exceeds the n<=20 guard")

@@ -66,6 +66,35 @@ def chi_table_by_partitions(t: Tournament) -> list[int]:
     return [chi_by_partitions(t, m) for m in range(1 << t.n)]
 
 
+def chi_table_by_subset_dp(trans) -> np.ndarray:
+    """chi of every subset from a transitive-subset table, by a 3^n subset DP.
+
+    chi[S] = 0 for empty S, 1 for transitive S, else 1 + min over transitive
+    T <= S containing the least vertex of S of chi[S \\ T]. Restricting T to
+    the class of the least vertex loses nothing: some optimal class contains
+    it, and enlarging a class never hurts the remainder.
+    """
+    tr = list(trans)
+    out = [0] * len(tr)
+    for s in range(1, len(tr)):
+        if tr[s]:
+            out[s] = 1
+            continue
+        low = s & (-s)
+        rest = s ^ low
+        best = 255
+        sub = rest
+        while True:
+            t = sub | low
+            if tr[t]:
+                best = min(best, 1 + out[s ^ t])
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        out[s] = best
+    return np.array(out, dtype=np.uint8)
+
+
 def chi_by_cover_bfs(t: Tournament) -> int:
     """Breadth-first closure of unions of maximal transitive sets.
 

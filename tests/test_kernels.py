@@ -8,10 +8,12 @@ import tourlab._kernels as _kernels
 from tourlab import (
     chi,
     chi_all_subsets,
+    enumerate_all,
     formats,
     is_transitive_set,
     paley,
     random_tournament,
+    s_t,
     transitive_tournament,
 )
 
@@ -23,12 +25,32 @@ def test_transitive_table_matches_definition():
         assert bool(trans[s]) == is_transitive_set(t, s)
 
 
+def test_chi_table_matches_subset_dp():
+    # every class up to 6 vertices, paley(7), s_t(3), random n = 9..12, and
+    # the empty and one-vertex tournaments: whole tables, dtype included
+    cases = [t for n in range(7) for t in enumerate_all(n)]
+    cases += [paley(7), s_t(3), transitive_tournament(0), transitive_tournament(1)]
+    cases += [random_tournament(n, seed=n) for n in range(9, 13)]
+    for t in cases:
+        trans = _kernels.transitive_table(t.out_sets, t.n)
+        got = _kernels.chi_table_from_trans(trans)
+        want = orc.chi_table_by_subset_dp(trans)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_chi_table_matches_solver():
-    t = random_tournament(9, seed=2)
+    # n = 20 is the table guard, where the 4^n bound on cover counts is 2^40
+    t = random_tournament(20, seed=2)
     trans = _kernels.transitive_table(t.out_sets, t.n)
     tbl = _kernels.chi_table_from_trans(trans)
-    for s in (0, 1, 0b101010101, (1 << t.n) - 1, 0b111, 0b110010):
+    masks = [(1 << t.n) - 1] + _sample_subsets(t.n, seed=3, k=20)
+    for s in masks:
         assert int(tbl[s]) == chi(t, s).value
+    # over the whole table, adding a vertex raises chi by 0 or 1
+    for v in range(t.n):
+        pairs = tbl.reshape(-1, 2, 1 << v)
+        assert ((pairs[:, 1] >= pairs[:, 0]) & (pairs[:, 1] <= pairs[:, 0] + 1)).all()
 
 
 def test_min_code_matches_relabelling_oracle():

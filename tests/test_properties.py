@@ -4,6 +4,8 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from tourlab import (
+    CapacityError,
+    FormatError,
     Numbering,
     OrderedTournament,
     Tournament,
@@ -25,6 +27,7 @@ from tourlab import (
 
 SLOW = settings(max_examples=40, deadline=None)
 FAST = settings(max_examples=100, deadline=None)
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
 
 
 @st.composite
@@ -131,3 +134,46 @@ def test_numbering_inverse(perm):
     nb = Numbering(tuple(perm))
     pos = nb.position_of()
     assert all(pos[nb.perm[i]] == i for i in range(7))
+
+
+# Parser fuzzing: whatever the text, a parser returns or raises FormatError or
+# CapacityError. Besides arbitrary text, each parser gets valid output with one
+# stretch overwritten, which reaches the checks past the header.
+
+
+def _splice(text, at, piece):
+    at %= len(text) + 1
+    return text[:at] + piece + text[at + len(piece):]
+
+
+def _mangled(emit, alphabet):
+    return st.builds(_splice, tournaments(0, 6).map(emit), st.integers(0, 60),
+                     st.text(alphabet=alphabet, min_size=1, max_size=3))
+
+
+def _parses_or_rejects(parse, text):
+    try:
+        parse(text)
+    except (FormatError, CapacityError):
+        pass
+
+
+@FUZZ
+@given(st.one_of(st.text(), _mangled(formats.emit_tmt, "01\n ")))
+def test_parse_tmt_raises_only_format_or_capacity_errors(text):
+    _parses_or_rejects(formats.parse_tmt, text)
+
+
+@FUZZ
+@given(st.one_of(st.text(), _mangled(formats.emit_compact, "019af:-")))
+def test_parse_compact_raises_only_format_or_capacity_errors(text):
+    _parses_or_rejects(formats.parse_compact, text)
+
+
+@FUZZ
+@given(st.one_of(
+    st.text(),
+    st.lists(st.text(alphabet="0123456789-+_ ", max_size=6)).map(" ".join),
+))
+def test_parse_matching_raises_only_format_or_capacity_errors(text):
+    _parses_or_rejects(formats.parse_matching, text)

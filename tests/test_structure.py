@@ -356,17 +356,20 @@ def test_inout_witness():
 
 
 def test_subset_table_path_honours_deadline():
-    t = random_tournament(16, seed=1)
+    # the n = 20 table takes about 0.3 s, so the deadline fires inside it
+    t = random_tournament(20, seed=1)
     ot = OrderedTournament(t, natural_numbering(t.n))
     start = time.monotonic()
     with pytest.raises(DeadlineExceeded):
         local_chromatic_number(ot, deadline=Deadline(0.05))
     assert time.monotonic() - start < 0.5
+    # max_diamond's n <= 15 cap finishes well inside any useful deadline, so
+    # it gets an expired one; best_complete_pair still raises mid-loop
     t = random_tournament(15, seed=1)
-    for analyzer in (max_diamond, best_complete_pair):
+    for analyzer, seconds in ((max_diamond, -1.0), (best_complete_pair, 0.05)):
         start = time.monotonic()
         with pytest.raises(DeadlineExceeded):
-            analyzer(t, deadline=Deadline(0.05))
+            analyzer(t, deadline=Deadline(seconds))
         assert time.monotonic() - start < 0.5
     with pytest.raises(DeadlineExceeded):
         min_local_numbering(random_tournament(9, seed=1), deadline=Deadline(-1.0))
