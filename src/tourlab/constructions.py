@@ -19,6 +19,8 @@ from .core import (
 
 def transitive_tournament(n: int) -> Tournament:
     """Transitive tournament with i -> j for i < j."""
+    if n > MAX_VERTICES:
+        raise CapacityError(f"n = {n} exceeds the {MAX_VERTICES}-vertex cap")
     full = (1 << n) - 1
     return Tournament(n, tuple(full & ~((1 << (v + 1)) - 1) for v in range(n)))
 

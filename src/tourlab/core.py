@@ -252,22 +252,31 @@ def complete_to(t: Tournament, a: int, b: int) -> bool:
     return True
 
 
+def backedge_sets(ot: OrderedTournament) -> list[int]:
+    """Backedge neighbourhood of each vertex, indexed by vertex.
+
+    v's neighbours are its out-neighbours numbered before it plus its
+    in-neighbours numbered after it, which is out(v) ^ after(v) with after(v)
+    the vertices numbered after v: one O(n) pass. The same masks are the
+    local sets of structure.local_sets.
+    """
+    t = ot.t
+    adj = [0] * t.n
+    after = t.full_mask
+    for v in ot.order.perm:
+        after ^= 1 << v
+        adj[v] = t.out_sets[v] ^ after
+    return adj
+
+
 def backedge_graph(ot: OrderedTournament) -> Graph:
     """Graph joining numbering pairs whose tournament edge points right to left.
 
     For positions i < j, {v_i, v_j} is an edge iff v_j -> v_i in the
-    tournament. Round-trips with tournament_from_backedge.
+    tournament; adj[v] is backedge_sets(ot)[v]. Round-trips with
+    tournament_from_backedge.
     """
-    t, perm = ot.t, ot.order.perm
-    adj = [0] * t.n
-    for i in range(t.n):
-        vi = perm[i]
-        for j in range(i + 1, t.n):
-            vj = perm[j]
-            if t.has_edge(vj, vi):
-                adj[vi] |= 1 << vj
-                adj[vj] |= 1 << vi
-    return Graph(t.n, tuple(adj))
+    return Graph(ot.t.n, tuple(backedge_sets(ot)))
 
 
 def tournament_from_backedge(g: Graph, nb: Numbering) -> OrderedTournament:

@@ -25,8 +25,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from . import _kernels
 from .core import (
     CapacityError,
@@ -35,6 +33,7 @@ from .core import (
     OrderedTournament,
     Tournament,
     backedge_graph,
+    bits,
     complete_to,
     induce,
     is_transitive,
@@ -366,8 +365,8 @@ def _suite_violation(t: Tournament, perms) -> tuple[Optional[tuple], int]:
     dom <= chi is checked first, then each numbering of perms in turn; the
     second value is the number of numberings tried.
     """
-    tbl = chi_all_subsets(t)
-    chi_value = int(tbl[t.full_mask])
+    tbl = chi_all_subsets(t).tolist()  # list indexing beats numpy scalars per numbering
+    chi_value = tbl[t.full_mask]
     dom_value = dom(t).value
     if dom_value > chi_value:
         return ("dom_le_chi", None, dom_value, chi_value), 0
@@ -466,8 +465,59 @@ def _check_backdom(report: SearchReport):
         raise ValueError("backdom witness fails: reverse subdomination reaches c")
 
 
-LEGEND_SAMPLE_SEED = 20240809
-LEGEND_SAMPLES = 100000
+def _first_avoiding_numbering(
+    t: Tournament, oh: OrderedTournament, deadline: Optional[Deadline]
+) -> Optional[tuple[int, ...]]:
+    """The first numbering of t in itertools.permutations order that avoids oh.
+
+    Numberings are built one position at a time, trying vertices in
+    increasing index order, so complete ones come in permutations order. A
+    copy of the pattern appears the moment its last vertex is placed, so only
+    copies ending at the new vertex are sought, and the first one cuts the
+    branch. The deadline is checked once per search node.
+    """
+    hp, m = oh.order.perm, oh.t.n
+    if m == 0:
+        return None  # the empty pattern occurs under every numbering
+    ins = [t.in_set(v) for v in range(t.n)]
+    # rel[b][a][u]: the vertices that may fill pattern position a < b when u fills b
+    rel = [[ins if oh.t.has_edge(hp[a], hp[b]) else t.out_sets for a in range(b)]
+           for b in range(m)]
+    before = [0] * t.n  # before[u]: the vertices numbered before u
+    full = t.full_mask
+    prefix: list[int] = []
+
+    def completes(cands: list[int]) -> bool:
+        # cands[a]: the vertices that may fill pattern position a, the
+        # positions from len(cands) up being filled already
+        b = len(cands) - 1
+        if b < 0:
+            return True
+        if not all(cands):
+            return False
+        row = rel[b]
+        for u in bits(cands[b]):
+            below = before[u]
+            if completes([cands[a] & below & row[a][u] for a in range(b)]):
+                return True
+        return False
+
+    def dfs(placed: int) -> bool:
+        if deadline is not None:
+            deadline.check()
+        if placed == full:
+            return True
+        for v in bits(full & ~placed):
+            if completes([placed & r[v] for r in rel[m - 1]]):
+                continue
+            before[v] = placed
+            prefix.append(v)
+            if dfs(placed | 1 << v):
+                return True
+            prefix.pop()
+        return False
+
+    return tuple(prefix) if dfs(0) else None
 
 
 def legend_frontier(
@@ -480,10 +530,10 @@ def legend_frontier(
     """Largest domination number among ordered tournaments avoiding (h, sigma).
 
     h must be transitive (only transitive ordered tournaments are unavoidable
-    at high domination). All numberings are tried for n <= 6; at n = 7 a
-    fixed PCG64 sample of 10^5 numberings per class stands in, and the report
-    flags that level as evidence-only. The frontier is asserted below
-    |h| * 2^|h|.
+    at high domination). Every numbering of every class is covered, at each
+    n and without sampling, by the prefix search of _first_avoiding_numbering;
+    the numbering it returns is confirmed with ordered_contains before it is
+    reported. The frontier is asserted below |h| * 2^|h|.
     """
     if not is_transitive(h):
         raise ValueError("h must be transitive")
@@ -495,22 +545,12 @@ def legend_frontier(
     oh = OrderedTournament(h, sigma)
     findings = {"frontier": 0, "example": None}
 
-    def numberings_for(t: Tournament):
-        if t.n <= 6:
-            return itertools.permutations(range(t.n))
-        rng = np.random.Generator(np.random.PCG64(LEGEND_SAMPLE_SEED))
-        return (
-            tuple(int(x) for x in rng.permutation(t.n)) for _ in range(LEGEND_SAMPLES)
-        )
-
     def examine(t: Tournament):
-        for perm in numberings_for(t):
-            if deadline is not None:
-                deadline.check()
-            if ordered_contains(OrderedTournament(t, Numbering(perm)), oh) is None:
-                break
-        else:
+        perm = _first_avoiding_numbering(t, oh, deadline)
+        if perm is None:
             return 0, None
+        if ordered_contains(OrderedTournament(t, Numbering(perm)), oh) is not None:
+            raise AssertionError("prefix search returned a numbering containing the pattern")
         value = dom(t).value
         if value > findings["frontier"]:
             findings["frontier"] = value
@@ -521,14 +561,13 @@ def legend_frontier(
             }
         return 1, {"numbering": list(perm), "dom": value} if value >= bound else None
 
+    # n7_sampling stays in the params, always null, so reports keep their keys
     params = {
         "h": emit_compact(h),
         "sigma": list(sigma.perm),
         "n_max": n_max,
         "bound": bound,
-        "n7_sampling": {"seed": LEGEND_SAMPLE_SEED, "samples": LEGEND_SAMPLES}
-        if n_max >= 7
-        else None,
+        "n7_sampling": None,
     }
     return _scan(
         "legends", params, n_max, deadline, examine,

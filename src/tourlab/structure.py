@@ -19,6 +19,7 @@ from .core import (
     OrderedTournament,
     Tournament,
     backedge_graph,
+    backedge_sets,
     bits,
     complete_to,
     induce_graph,
@@ -204,15 +205,10 @@ def _subset_chi(t: Tournament, table, deadline: Optional[Deadline]):
 
 
 def local_sets(ot: OrderedTournament) -> list[int]:
-    """Per vertex, its backward out-neighbours plus forward in-neighbours."""
-    t, perm = ot.t, ot.order.perm
-    before = 0
-    out = []
-    for v in perm:
-        after = t.full_mask & ~before & ~(1 << v)
-        out.append((before & t.out_sets[v]) | (after & t.in_set(v)))
-        before |= 1 << v
-    return out
+    """Per vertex in numbering order, its backward out-neighbours plus forward
+    in-neighbours: its neighbourhood in the backedge graph (core.backedge_sets)."""
+    adj = backedge_sets(ot)
+    return [adj[v] for v in ot.order.perm]
 
 
 def local_chromatic_number(

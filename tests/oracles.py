@@ -293,3 +293,20 @@ def local_sets_by_positions(t: Tournament, perm) -> list[int]:
                 s |= 1 << u
         out.append(s)
     return out
+
+
+def avoids_ordered_by_positions(t: Tournament, perm, h: Tournament, sigma) -> bool:
+    """Whether numbering perm of t has no copy of the ordered pattern (h, sigma).
+
+    Tries every increasing tuple of positions and compares the edge of every
+    position pair with the pattern's edge between the same pattern positions.
+    """
+    m = len(sigma)
+    for positions in itertools.combinations(range(len(perm)), m):
+        if all(
+            (t.out_sets[perm[positions[a]]] >> perm[positions[b]] & 1)
+            == (h.out_sets[sigma[a]] >> sigma[b] & 1)
+            for a, b in itertools.combinations(range(m), 2)
+        ):
+            return False
+    return True

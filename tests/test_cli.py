@@ -260,6 +260,14 @@ def test_exit_codes(run, tmp_path):
     assert code == 2
     code, _, err = run(["gen", "paley", "--q", "6"])
     assert code == 2
+    # a transitive size past the 64-vertex cap is refused before it is built
+    for argv in (["gen", "transitive", "--n", "100000000"],
+                 ["scan", "legends", "--h-n", "100000000", "--nmax", "2"],
+                 ["gen", "chain-power", "--base", "transitive:100000000", "--r", "2"]):
+        code, out, err = run(argv)
+        assert code == 3 and out == "" and "64-vertex cap" in err
+    code, _, err = run(["gen", "transitive", "--n", "-1"])
+    assert code == 2 and "error:" in err
 
 
 def test_deadline_flag_exits_three(run):

@@ -186,6 +186,11 @@ def test_legend_frontier_golden():
         assert rep.outcome == "exhausted"
         assert rep.findings["frontier"] == 1
         assert rep.params["bound"] == 8
+    # n = 7 is exact too: every numbering of all 456 classes is covered
+    rep = legend_frontier(h, Numbering((0, 1)), 7)
+    assert rep.params["n7_sampling"] is None
+    assert rep.counters["per_n"]["7"] == {"classes": 456, "classes_with_avoiding_numbering": 1}
+    assert rep.findings["frontier"] == 1
     with pytest.raises(ValueError):
         legend_frontier(cyclic_triangle(), (0, 1, 2), 4)
 
@@ -231,16 +236,39 @@ def test_deadline_interrupts_cold_corpus_build(monkeypatch):
     assert 7 not in en._LEVELS
 
 
-def test_deadline_interrupts_legend_sampling(monkeypatch):
-    from tourlab import Deadline, DeadlineExceeded, paley
+def test_deadline_interrupts_legend_search(monkeypatch):
+    from tourlab import Deadline, DeadlineExceeded, OrderedTournament, paley
 
-    # one n=7 class that contains TT2 under every numbering, so all samples run
-    levels = {0: ((),), **{n: () for n in range(1, 7)}, 7: (paley(7).out_sets,)}
+    # the whole n=7 level against the forward-transitive 3-vertex pattern:
+    # the search needs far more than ten times the deadline to exhaust it
+    levels = {0: ((),), **{n: () for n in range(1, 7)}, 7: en._level(7)}
     monkeypatch.setattr(en, "_LEVELS", levels)
     start = time.monotonic()
     with pytest.raises(DeadlineExceeded):
-        legend_frontier(transitive_tournament(2), Numbering((0, 1)), 7, deadline=Deadline(0.05))
+        legend_frontier(transitive_tournament(3), Numbering((0, 1, 2)), 7, deadline=Deadline(0.05))
     assert time.monotonic() - start < 0.5
+    # inside one class the search checks the deadline at every node
+    with pytest.raises(DeadlineExceeded):
+        en._first_avoiding_numbering(
+            paley(7), OrderedTournament(transitive_tournament(2), Numbering((0, 1))), Deadline(-1.0)
+        )
+
+
+def test_legend_search_matches_bruteforce(corpus):
+    from tourlab import OrderedTournament, paley
+
+    classes = [t for n in range(1, 7) for t in corpus[n]] + [paley(7), transitive_tournament(7)]
+    for m in range(4):
+        h = transitive_tournament(m)
+        for sigma in itertools.permutations(range(m)):
+            oh = OrderedTournament(h, Numbering(sigma))
+            for t in classes:
+                want = next(
+                    (perm for perm in itertools.permutations(range(t.n))
+                     if orc.avoids_ordered_by_positions(t, perm, h, sigma)),
+                    None,
+                )
+                assert en._first_avoiding_numbering(t, oh, None) == want
 
 
 def test_scan_deadline_is_keyword_only():

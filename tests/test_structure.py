@@ -146,12 +146,19 @@ def test_c_good():
     assert not c_good(t, 3)
 
 
-def test_local_sets_match_position_oracle():
-    for seed in range(4):
-        t = random_tournament(7, seed)
-        perm = tuple(int(v) for v in np.random.Generator(np.random.PCG64(seed)).permutation(7))
+def test_local_sets_match_position_oracle(corpus):
+    cases = [(t, perm) for n in range(1, 6) for t in corpus[n]
+             for perm in itertools.permutations(range(n))]
+    for n, seed in ((12, 0), (12, 1), (40, 2), (40, 3)):
+        perm = tuple(int(v) for v in np.random.Generator(np.random.PCG64(seed)).permutation(n))
+        cases.append((random_tournament(n, seed), perm))
+    for t, perm in cases:
         ot = OrderedTournament(t, Numbering(perm))
-        assert local_sets(ot) == orc.local_sets_by_positions(t, perm)
+        want = orc.local_sets_by_positions(t, perm)
+        assert local_sets(ot) == want
+        # the local set of v is its backedge neighbourhood
+        adj = backedge_graph(ot).adj
+        assert [adj[v] for v in perm] == want
 
 
 def test_local_chromatic_number_golden():
