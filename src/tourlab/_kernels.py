@@ -2,7 +2,8 @@
 
 Vectorized numpy where the computation vectorizes (transitive tables, chi
 tables by zeta/Mobius cover products) and plain Python loops over int bitsets
-where it is sequential (canonical-code branch-and-bound, domination search).
+where it is sequential (canonical-code branch-and-bound and the orderly
+generation test, domination search).
 """
 
 from typing import Optional
@@ -26,6 +27,14 @@ def backend() -> str:
 # relabelling is built one position at a time, and only the prefixes whose
 # rows so far tie the minimum are extended. Row i of a prefix extended by v
 # is v's out-bits against the prefix vertices, earliest vertex first.
+#
+# Orderly generation needs only a yes/no answer: is the identity labelling's
+# code already least? Its own rows are the bound, and a prefix that ties the
+# bound on every earlier row and falls below it on the next one is a
+# relabelling with a smaller code, whatever comes after, so the search stops
+# on the first such row. A row above the bound ends its prefix. Only prefixes
+# tying the bound are extended, depth-first, so a candidate that is not least
+# is refuted without its least code ever being computed.
 # ---------------------------------------------------------------------------
 
 def min_code(out_sets, n: int) -> int:
@@ -51,6 +60,37 @@ def min_code(out_sets, n: int) -> int:
         code = code << i | best
         tied = keep
     return code
+
+
+def is_least_code(out_sets, n: int) -> bool:
+    """True iff no relabelling has a smaller lower-triangular code."""
+    bound = []
+    for i in range(n):
+        out = out_sets[i]
+        row = 0
+        for u in range(i):
+            row = row << 1 | out >> u & 1
+        bound.append(row)
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        i = len(prefix)
+        if i == n:
+            continue
+        b = bound[i]
+        # pushed in descending order, so the lowest tying vertex is popped first
+        for v in range(n - 1, -1, -1):
+            if v in prefix:
+                continue
+            out = out_sets[v]
+            row = 0
+            for u in prefix:
+                row = row << 1 | out >> u & 1
+            if row < b:
+                return False  # rows 0..i-1 tie, so this relabelling's code is smaller
+            if row == b:
+                stack.append(prefix + (v,))
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ far, so no permutation table is materialized. Generation is orderly:
 canonical parents are extended by every in/out pattern of one new final
 vertex, and a child survives iff it is its own canonical form. Deleting the
 last vertex of a canonical code leaves a canonical prefix, so each class
-appears exactly once.
+appears exactly once. Whether a child is its own canonical form is a yes/no
+question, answered by the kernel behind is_canonical: a depth-first prefix
+search stops at the first relabelling whose rows fall below the child's own,
+so no rejected child has its least code computed. Each kept child's code is
+confirmed against canonical_code before the level is cached.
 
 Scans walk that corpus, verify proved theorems instance-by-instance, and hunt
 witnesses against open conjectures; results are SearchReports whose witnesses
@@ -69,7 +73,10 @@ def canonical_form(t: Tournament) -> CanonicalForm:
 
 
 def is_canonical(t: Tournament) -> bool:
-    return tournament_code(t) == canonical_code(t)
+    """True iff t's own code is its canonical code (no relabelling beats it)."""
+    if t.n > 8:
+        raise CapacityError("exhaustive canonicalization capped at 8 vertices")
+    return _kernels.is_least_code(t.out_sets, t.n)
 
 
 def _level(n: int, deadline: Optional[Deadline] = None) -> tuple[tuple[int, ...], ...]:
@@ -89,10 +96,13 @@ def _level(n: int, deadline: Optional[Deadline] = None) -> tuple[tuple[int, ...]
                 if not pattern >> v & 1:
                     out[v] |= newbit
             out.append(pattern)
+            if not _kernels.is_least_code(out, n):
+                continue
             cand = Tournament(n, tuple(out))
             code = tournament_code(cand)
-            if code == canonical_code(cand):
-                kept.append((code, cand.out_sets))
+            if canonical_code(cand) != code:
+                raise AssertionError(f"kept candidate {out} at n={n} is not canonical")
+            kept.append((code, cand.out_sets))
     kept.sort()
     result = tuple(outs for _, outs in kept)
     _LEVELS[n] = result

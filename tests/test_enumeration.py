@@ -95,6 +95,17 @@ def test_enumeration_capacity():
         canonical_code(random_tournament(9, seed=0))
 
 
+def test_is_canonical_caps_and_small_cases():
+    # one notion of canonicity: the kernel's yes/no answer, capped like
+    # canonical_code, and vacuously true below two vertices
+    with pytest.raises(CapacityError):
+        is_canonical(random_tournament(9, seed=0))
+    assert is_canonical(transitive_tournament(0))
+    assert is_canonical(transitive_tournament(1))
+    for t in (transitive_tournament(8), random_tournament(8, seed=1)):
+        assert is_canonical(t) == (tournament_code(t) == canonical_code(t))
+
+
 def test_corpus_roundtrip_and_determinism(tmp_path):
     p1 = tmp_path / "a.txt"
     p2 = tmp_path / "b.txt"
@@ -227,11 +238,12 @@ def test_deadline_interrupts_cold_corpus_build(monkeypatch):
     from tourlab import Deadline, DeadlineExceeded
 
     # levels 0-6 stay warm, so the deadline bites inside the level-7 build
-    # (about 0.7 s), not in the few ms of scanning below it
+    # (about 0.3-0.45 s, over ten times the deadline), not in the few ms
+    # of scanning below it
     monkeypatch.setattr(en, "_LEVELS", {n: en._level(n) for n in range(7)})
     start = time.monotonic()
     with pytest.raises(DeadlineExceeded):
-        scan_chi2(2, 7, deadline=Deadline(0.1))
+        scan_chi2(2, 7, deadline=Deadline(0.02))
     assert time.monotonic() - start < 2.0
     assert 7 not in en._LEVELS
 

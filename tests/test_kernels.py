@@ -5,7 +5,9 @@ import numpy as np
 import oracles as orc
 
 import tourlab._kernels as _kernels
+import tourlab.enumeration as en
 from tourlab import (
+    Tournament,
     chi,
     chi_all_subsets,
     enumerate_all,
@@ -54,14 +56,43 @@ def test_chi_table_matches_solver():
 
 
 def test_min_code_matches_relabelling_oracle():
-    # every labelled tournament on 5 vertices, the tie-heavy paley(7) and
-    # transitive_tournament(7), and random 8-vertex inputs
-    cases = [formats.tournament_from_code(5, code) for code in range(1 << 10)]
+    # every labelled tournament on at most 5 vertices, the tie-heavy paley(7)
+    # and transitive_tournament(7), and random 8-vertex inputs; is_least_code
+    # must say whether the labelling's own code is the least
+    cases = [formats.tournament_from_code(n, code)
+             for n in range(6) for code in range(1 << n * (n - 1) // 2)]
     cases += [paley(7), transitive_tournament(7)]
     cases += [random_tournament(8, seed) for seed in (0, 1)]
     for t in cases:
-        want = orc.canonical_code_by_relabelling(t.n, formats.tournament_code(t))
+        own = formats.tournament_code(t)
+        want = orc.canonical_code_by_relabelling(t.n, own)
         assert _kernels.min_code(t.out_sets, t.n) == want
+        assert _kernels.is_least_code(t.out_sets, t.n) == (own == want)
+
+
+def _level_candidates(n):
+    """Every candidate orderly generation tests at n vertices: each canonical
+    (n-1)-vertex class extended by each in/out pattern of a final vertex."""
+    newbit = 1 << (n - 1)
+    for parent in en._level(n - 1):
+        for pattern in range(1 << (n - 1)):
+            out = [o if pattern >> v & 1 else o | newbit for v, o in enumerate(parent)]
+            yield tuple(out) + (pattern,)
+
+
+def test_is_least_code_agrees_with_min_code():
+    # the level-building candidates up to n = 7, the tie-heavy paley(7) and
+    # transitive tournaments, and random 8-vertex inputs
+    cases = [(n, out) for n in range(2, 8) for out in _level_candidates(n)]
+    assert len(cases) == 4054
+    kept = sum(_kernels.is_least_code(out, n) for n, out in cases)
+    assert kept == 1 + 2 + 4 + 12 + 56 + 456  # A000568, n = 2..7
+    tours = [paley(7), transitive_tournament(7), transitive_tournament(8)]
+    tours += [random_tournament(8, seed) for seed in range(40)]
+    cases += [(t.n, t.out_sets) for t in tours]
+    for n, out in cases:
+        want = formats.tournament_code(Tournament(n, out)) == _kernels.min_code(out, n)
+        assert _kernels.is_least_code(out, n) == want
 
 
 def test_subdom_scan_matches_oracle():
