@@ -14,8 +14,11 @@ so no rejected child has its least code computed. Each kept child's code is
 confirmed against canonical_code before the level is cached.
 
 Scans walk that corpus, verify proved theorems instance-by-instance, and hunt
-witnesses against open conjectures; results are SearchReports whose witnesses
-re-validate from their serialized form on load.
+witnesses against open conjectures; results are SearchReports. Each scan
+states its claim once, as an examine function built from the report's params
+(the _SCANS table). A witness loaded from a report is valid iff that examine,
+rebuilt from the loaded params, finds the same witness again on the witness
+tournament.
 
 Solvers are referenced through this module's namespace so a test can swap in
 a corrupted solver and confirm the harness catches it.
@@ -26,7 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import _kernels
@@ -144,9 +147,10 @@ class SearchReport:
     """Self-describing scan result; serializes to JSON with sorted keys.
 
     Reports are deterministic for identical inputs except wall_time. The
-    witness payload, when present, must re-validate against the scan's
-    predicate on load; findings carry informational aggregates (frontier
-    tables, recorded minima) that are not witnesses.
+    witness payload, when present, is valid iff the scan's own examine,
+    rebuilt from params, finds it again on load; findings carry
+    informational aggregates (frontier tables, recorded minima) that are
+    not witnesses.
     """
 
     scan: str
@@ -159,55 +163,39 @@ class SearchReport:
     wall_time: float = 0.0
 
     def to_json(self) -> str:
-        payload = {
-            "scan": self.scan,
-            "params": self.params,
-            "corpus": self.corpus,
-            "outcome": self.outcome,
-            "witness": self.witness,
-            "findings": self.findings,
-            "counters": self.counters,
-            "wall_time": self.wall_time,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @staticmethod
     def from_json(text: str, revalidate: bool = True) -> "SearchReport":
+        """Load a report; a malformed report or a stale witness raises ValueError."""
         raw = json.loads(text)
-        report = SearchReport(
-            scan=raw["scan"],
-            params=raw["params"],
-            corpus=raw["corpus"],
-            outcome=raw["outcome"],
-            witness=raw.get("witness"),
-            findings=raw.get("findings", {}),
-            counters=raw.get("counters", {}),
-            wall_time=raw.get("wall_time", 0.0),
-        )
-        if revalidate:
-            revalidate_witness(report)
+        names = [f.name for f in fields(SearchReport)]
+        try:
+            report = SearchReport(**{k: raw[k] for k in names if k in raw})
+            if revalidate:
+                revalidate_witness(report)
+        except (LookupError, TypeError, AttributeError, CapacityError) as exc:
+            # a field of the wrong shape surfaces where the scan first reads it
+            raise ValueError(f"malformed report: {exc!r}") from exc
         return report
 
 
-_VALIDATORS: dict[str, Callable[[SearchReport], None]] = {}
-
-
-def _validator(name: str):
-    def deco(fn):
-        _VALIDATORS[name] = fn
-        return fn
-
-    return deco
-
-
 def revalidate_witness(report: SearchReport):
-    """Re-check a loaded witness against its defining predicate; raise if stale."""
+    """Re-run the scan's examine, rebuilt from report.params, on the witness
+    tournament; raise ValueError unless it finds the same witness again."""
     if report.witness is None:
         return
-    checker = _VALIDATORS.get(report.scan)
-    if checker is None:
-        raise ValueError(f"no witness validator registered for scan {report.scan!r}")
-    checker(report)
+    entry = _SCANS.get(report.scan)
+    if entry is None:
+        raise ValueError(f"no scan named {report.scan!r}")
+    examine, _ = entry[0](report.params, None)
+    t = parse_compact(report.witness["tournament"])
+    if t.n > ENUM_CAP:
+        # no scan reaches it, and re-running tribip there costs 3^n subset pairs
+        raise ValueError(f"{report.scan} witness has {t.n} vertices, above the scan cap")
+    _, found = examine(t)
+    if found is None or {"tournament": emit_compact(t), **found} != report.witness:
+        raise ValueError(f"{report.scan} witness fails: the scan finds {found} on it")
 
 
 def _corpus_dict(n_max: int) -> dict:
@@ -218,30 +206,26 @@ def _corpus_dict(n_max: int) -> dict:
     }
 
 
-def _scan(
-    name: str,
-    params: dict,
-    n_max: int,
-    deadline: Optional[Deadline],
-    examine: Callable[[Tournament], tuple[int, Optional[dict]]],
-    *,
-    count: Optional[str] = None,
-    findings: Optional[dict] = None,
-    stop_at_witness: bool = True,
-) -> SearchReport:
+def _scan(name: str, params: dict, deadline: Optional[Deadline]) -> SearchReport:
     """The corpus loop behind every scan.
 
-    Walks the canonical corpus for n = 1..n_max, checking the deadline while
-    a level is built and before each class. examine(t) returns (k, found):
-    k is summed into the level's `count` counter, and the first found that
-    is not None, with t's compact form added, becomes the witness. A scan
-    that stops at a witness ends after the level yielding it; otherwise
-    every level is walked. findings is the scan's own state, which examine
-    fills in as it goes.
+    The scan's _SCANS entry gives its examine factory, its counter name and
+    whether it stops at a witness. Walks the canonical corpus for
+    n = 1..params["n_max"], checking the deadline while a level is built and
+    before each class. examine(t) returns (k, found): k is summed into the
+    level's counter, and the first found that is not None, with t's compact
+    form added, becomes the witness. revalidate_witness re-runs the same
+    examine, so a witness is valid iff the scan finds it again. A scan that
+    stops at a witness ends after the level yielding it; otherwise every
+    level is walked. findings is the scan's own state, which examine fills
+    in as it goes.
     """
+    make, count, stop_at_witness = _SCANS[name]
+    n_max = params["n_max"]
     if n_max > ENUM_CAP:
         raise CapacityError(f"scan capped at {ENUM_CAP} vertices")
     start = time.monotonic()
+    examine, findings = make(params, deadline)
     per_n: dict[str, dict] = {}
     witness = None
     for n in range(1, n_max + 1):
@@ -265,21 +249,25 @@ def _scan(
         corpus=_corpus_dict(n_max),
         outcome="witness" if witness else "exhausted",
         witness=witness,
-        findings={} if findings is None else findings,
+        findings=findings,
         counters={"per_n": per_n},
         wall_time=time.monotonic() - start,
     )
 
 
-def _chi2_profile(t: Tournament, c: int) -> Optional[tuple[int, list[int], bool]]:
-    """None when chi(t) < 2c; else chi(t), each out-neighbourhood's chi, and
-    whether all of those are below c, which makes t a witness."""
-    tbl = chi_all_subsets(t)
-    value = int(tbl[t.full_mask])
-    if value < 2 * c:
-        return None
-    neigh = [int(tbl[t.out_sets[v]]) for v in range(t.n)]
-    return value, neigh, all(x < c for x in neigh)
+def _chi2_examine(params: dict, deadline: Optional[Deadline]):
+    c = params["c"]
+
+    def examine(t: Tournament):
+        tbl = chi_all_subsets(t)
+        value = int(tbl[t.full_mask])
+        if value < 2 * c:
+            return 0, None
+        neigh = [int(tbl[t.out_sets[v]]) for v in range(t.n)]
+        hit = all(x < c for x in neigh)
+        return 1, {"chi": value, "out_neighbourhood_chis": neigh} if hit else None
+
+    return examine, {}
 
 
 def scan_chi2(c: int, n_max: int, *, deadline: Optional[Deadline] = None) -> SearchReport:
@@ -288,26 +276,7 @@ def scan_chi2(c: int, n_max: int, *, deadline: Optional[Deadline] = None) -> Sea
     Exhausts the canonical corpus up to n_max; a find would refute the
     out-neighbourhood colouring conjecture at this c.
     """
-
-    def examine(t: Tournament):
-        got = _chi2_profile(t, c)
-        if got is None:
-            return 0, None
-        value, neigh, hit = got
-        return 1, {"chi": value, "out_neighbourhood_chis": neigh} if hit else None
-
-    params = {"c": c, "n_max": n_max}
-    return _scan("chi2", params, n_max, deadline, examine, count="chi_at_least_2c")
-
-
-@_validator("chi2")
-def _check_chi2(report: SearchReport):
-    c = report.params["c"]
-    got = _chi2_profile(parse_compact(report.witness["tournament"]), c)
-    if got is None:
-        raise ValueError("chi2 witness fails: chromatic number below 2c")
-    if not got[2]:
-        raise ValueError("chi2 witness fails: some out-neighbourhood reaches c")
+    return _scan("chi2", {"c": c, "n_max": n_max}, deadline)
 
 
 def _triangle_pair_between(t: Tournament, tris: Sequence[int], a: int, b: int) -> bool:
@@ -321,14 +290,8 @@ def _triangle_pair_between(t: Tournament, tris: Sequence[int], a: int, b: int) -
     )
 
 
-def scan_tribip(d: int, n_max: int, *, deadline: Optional[Deadline] = None) -> SearchReport:
-    """Hunt disjoint sets of chi >= d with no complete pair of triangles between them.
-
-    For every canonical tournament and every disjoint (a, b) with both sides
-    of chromatic number at least d, some cyclic triangle inside one side must
-    be complete to one inside the other (in either orientation); a pair with
-    no such triangles is a witness.
-    """
+def _tribip_examine(params: dict, deadline: Optional[Deadline]):
+    d = params["d"]
 
     def examine(t: Tournament):
         tbl = chi_all_subsets(t)
@@ -348,25 +311,18 @@ def scan_tribip(d: int, n_max: int, *, deadline: Optional[Deadline] = None) -> S
                 b = (b - 1) & rest
         return pairs, None
 
-    params = {"d": d, "n_max": n_max}
-    return _scan("tribip", params, n_max, deadline, examine, count="qualifying_pairs")
+    return examine, {}
 
 
-@_validator("tribip")
-def _check_tribip(report: SearchReport):
-    d = report.params["d"]
-    t = parse_compact(report.witness["tournament"])
-    a, b = report.witness["a"], report.witness["b"]
-    for side in (a, b):
-        if not isinstance(side, int) or side <= 0 or side & ~t.full_mask:
-            raise ValueError("tribip witness fails: a side is empty or outside the vertices")
-    if a & b:
-        raise ValueError("tribip witness fails: sides intersect")
-    tbl = chi_all_subsets(t)
-    if int(tbl[a]) < d or int(tbl[b]) < d:
-        raise ValueError("tribip witness fails: a side has chi below d")
-    if _triangle_pair_between(t, all_triangle_law(t).members, a, b):
-        raise ValueError("tribip witness fails: a complete triangle pair exists")
+def scan_tribip(d: int, n_max: int, *, deadline: Optional[Deadline] = None) -> SearchReport:
+    """Hunt disjoint sets of chi >= d with no complete pair of triangles between them.
+
+    For every canonical tournament and every disjoint (a, b) with both sides
+    of chromatic number at least d, some cyclic triangle inside one side must
+    be complete to one inside the other (in either orientation); a pair with
+    no such triangles is a witness.
+    """
+    return _scan("tribip", {"d": d, "n_max": n_max}, deadline)
 
 
 def _suite_violation(t: Tournament, perms) -> tuple[Optional[tuple], int]:
@@ -393,7 +349,8 @@ def _suite_violation(t: Tournament, perms) -> tuple[Optional[tuple], int]:
         gchi = graph_chi(g)
         gomega = graph_omega(g)
         if not chi_value <= gchi <= gomega * max(chi_value, 1):
-            return ("backedge_sandwich", perm, (chi_value, gchi, gomega), None), tried
+            # a list, as JSON reads it back, so a loaded witness compares equal
+            return ("backedge_sandwich", perm, [chi_value, gchi, gomega], None), tried
         if diamond_value > 2 * local:
             return ("diamond_le_2local", perm, diamond_value, local), tried
         if dom_value > local + 1:
@@ -401,14 +358,7 @@ def _suite_violation(t: Tournament, perms) -> tuple[Optional[tuple], int]:
     return None, tried
 
 
-def scan_theorem_suite(n_max: int, *, deadline: Optional[Deadline] = None) -> SearchReport:
-    """Assert proved theorems over the corpus; any violation is a bug certificate.
-
-    Numbering-free checks (dom <= chi) run for all n <= n_max (cap 7); the
-    per-numbering checks (backedge sandwich, diamond bound against twice the
-    local chromatic number, dom <= local + 1) run for n <= 6.
-    """
-
+def _suite_examine(params: dict, deadline: Optional[Deadline]):
     def examine(t: Tournament):
         perms = itertools.permutations(range(t.n)) if t.n <= 6 else ()
         bad, tried = _suite_violation(t, perms)
@@ -418,18 +368,17 @@ def scan_theorem_suite(n_max: int, *, deadline: Optional[Deadline] = None) -> Se
         numbering = list(perm) if perm is not None else None
         return tried, {"theorem": name, "numbering": numbering, "lhs": lhs, "rhs": rhs}
 
-    params = {"n_max": n_max}
-    return _scan("theorem-suite", params, n_max, deadline, examine, count="numberings")
+    return examine, {}
 
 
-@_validator("theorem-suite")
-def _check_theorem_suite(report: SearchReport):
-    t = parse_compact(report.witness["tournament"])
-    name = report.witness["theorem"]
-    perm = report.witness["numbering"]
-    bad, _ = _suite_violation(t, [] if perm is None else [tuple(perm)])
-    if bad is None or bad[0] != name:
-        raise ValueError(f"suite witness fails: {name!r} holds after all")
+def scan_theorem_suite(n_max: int, *, deadline: Optional[Deadline] = None) -> SearchReport:
+    """Assert proved theorems over the corpus; any violation is a bug certificate.
+
+    Numbering-free checks (dom <= chi) run for all n <= n_max (cap 7); the
+    per-numbering checks (backedge sandwich, diamond bound against twice the
+    local chromatic number, dom <= local + 1) run for n <= 6.
+    """
+    return _scan("theorem-suite", {"n_max": n_max}, deadline)
 
 
 def _max_reverse_subdom(t: Tournament) -> int:
@@ -437,15 +386,8 @@ def _max_reverse_subdom(t: Tournament) -> int:
     return max((dom(reverse(induce(t, s).sub)).value for s in range(1, 1 << t.n)), default=0)
 
 
-def scan_backdom(c: int, n_max: int, *, deadline: Optional[Deadline] = None) -> SearchReport:
-    """Frontier of reverse subdomination against domination.
-
-    For each tournament, records dom(t) and the largest domination number of
-    a reversed induced subtournament; the findings table keeps, per dom
-    value, the smallest such maximum with an example. A tournament with
-    dom >= c whose maximum stays below c would witness against the reverse
-    rebel belief at this c (proved impossible for c = 2).
-    """
+def _backdom_examine(params: dict, deadline: Optional[Deadline]):
+    c = params["c"]
     frontier: dict[str, dict] = {}
 
     def examine(t: Tournament):
@@ -458,21 +400,19 @@ def scan_backdom(c: int, n_max: int, *, deadline: Optional[Deadline] = None) -> 
             return 0, {"dom": d, "max_reverse_subdom": best}
         return 0, None
 
-    params = {"c": c, "n_max": n_max}
-    return _scan(
-        "backdom", params, n_max, deadline, examine,
-        findings={"frontier": frontier}, stop_at_witness=False,
-    )
+    return examine, {"frontier": frontier}
 
 
-@_validator("backdom")
-def _check_backdom(report: SearchReport):
-    c = report.params["c"]
-    t = parse_compact(report.witness["tournament"])
-    if dom(t).value < c:
-        raise ValueError("backdom witness fails: dom below c")
-    if _max_reverse_subdom(t) >= c:
-        raise ValueError("backdom witness fails: reverse subdomination reaches c")
+def scan_backdom(c: int, n_max: int, *, deadline: Optional[Deadline] = None) -> SearchReport:
+    """Frontier of reverse subdomination against domination.
+
+    For each tournament, records dom(t) and the largest domination number of
+    a reversed induced subtournament; the findings table keeps, per dom
+    value, the smallest such maximum with an example. A tournament with
+    dom >= c whose maximum stays below c would witness against the reverse
+    rebel belief at this c (proved impossible for c = 2).
+    """
+    return _scan("backdom", {"c": c, "n_max": n_max}, deadline)
 
 
 def _first_avoiding_numbering(
@@ -530,6 +470,30 @@ def _first_avoiding_numbering(
     return tuple(prefix) if dfs(0) else None
 
 
+def _legends_examine(params: dict, deadline: Optional[Deadline]):
+    oh = OrderedTournament(parse_compact(params["h"]), Numbering(tuple(params["sigma"])))
+    bound = params["bound"]
+    findings = {"frontier": 0, "example": None}
+
+    def examine(t: Tournament):
+        perm = _first_avoiding_numbering(t, oh, deadline)
+        if perm is None:
+            return 0, None
+        if ordered_contains(OrderedTournament(t, Numbering(perm)), oh) is not None:
+            raise AssertionError("prefix search returned a numbering containing the pattern")
+        value = dom(t).value
+        if value > findings["frontier"]:
+            findings["frontier"] = value
+            findings["example"] = {
+                "tournament": emit_compact(t),
+                "numbering": list(perm),
+                "dom": value,
+            }
+        return 1, {"numbering": list(perm), "dom": value} if value >= bound else None
+
+    return examine, findings
+
+
 def legend_frontier(
     h: Tournament,
     sigma: Numbering,
@@ -551,47 +515,22 @@ def legend_frontier(
         sigma = Numbering(tuple(sigma))
     if len(sigma) != h.n:
         raise ValueError("sigma length differs from h")
-    bound = h.n * (1 << h.n)
-    oh = OrderedTournament(h, sigma)
-    findings = {"frontier": 0, "example": None}
-
-    def examine(t: Tournament):
-        perm = _first_avoiding_numbering(t, oh, deadline)
-        if perm is None:
-            return 0, None
-        if ordered_contains(OrderedTournament(t, Numbering(perm)), oh) is not None:
-            raise AssertionError("prefix search returned a numbering containing the pattern")
-        value = dom(t).value
-        if value > findings["frontier"]:
-            findings["frontier"] = value
-            findings["example"] = {
-                "tournament": emit_compact(t),
-                "numbering": list(perm),
-                "dom": value,
-            }
-        return 1, {"numbering": list(perm), "dom": value} if value >= bound else None
-
     # n7_sampling stays in the params, always null, so reports keep their keys
     params = {
         "h": emit_compact(h),
         "sigma": list(sigma.perm),
         "n_max": n_max,
-        "bound": bound,
+        "bound": h.n * (1 << h.n),
         "n7_sampling": None,
     }
-    return _scan(
-        "legends", params, n_max, deadline, examine,
-        count="classes_with_avoiding_numbering", findings=findings, stop_at_witness=False,
-    )
+    return _scan("legends", params, deadline)
 
 
-@_validator("legends")
-def _check_legends(report: SearchReport):
-    h = parse_compact(report.params["h"])
-    sigma = Numbering(tuple(report.params["sigma"]))
-    t = parse_compact(report.witness["tournament"])
-    nb = Numbering(tuple(report.witness["numbering"]))
-    if ordered_contains(OrderedTournament(t, nb), OrderedTournament(h, sigma)) is not None:
-        raise ValueError("legend witness fails: the pattern is contained after all")
-    if dom(t).value < report.params["bound"]:
-        raise ValueError("legend witness fails: domination below the bound")
+# scan name -> (examine factory, per-level counter name, stops at a witness)
+_SCANS: dict[str, tuple[Callable, Optional[str], bool]] = {
+    "chi2": (_chi2_examine, "chi_at_least_2c", True),
+    "tribip": (_tribip_examine, "qualifying_pairs", True),
+    "theorem-suite": (_suite_examine, "numberings", True),
+    "backdom": (_backdom_examine, None, False),
+    "legends": (_legends_examine, "classes_with_avoiding_numbering", False),
+}

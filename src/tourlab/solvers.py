@@ -46,18 +46,14 @@ class SubdomResult(NamedTuple):
     """exact=False marks the sampled lower bound used beyond 20 vertices."""
 
 
-def _maximal_sets_containing(base: int, rest: int, can_add, banned: int = 0):
-    """All maximal supersets of {base} inside rest under a hereditary property.
+def _extend_maximal(s: int, rest: int, banned: int, can_add):
+    """The supersets of s inside s | rest that no vertex of rest or banned can
+    extend under a hereditary property: with banned = 0, the maximal ones.
 
     can_add(S, w) answers whether S | {w} keeps the property; heredity lets a
     vertex rejected once be dropped for good. Each maximal set is produced
     exactly once, the greedy index-order extension first.
     """
-    s = 1 << base
-    yield from _extend_maximal(s, rest, banned, can_add)
-
-
-def _extend_maximal(s: int, rest: int, banned: int, can_add):
     scan = rest
     while scan:
         b = scan & -scan
@@ -106,7 +102,7 @@ def _min_cover(
             fail_at[uncovered] = 1
             return False
         u = (uncovered & -uncovered).bit_length() - 1
-        for part in _maximal_sets_containing(u, uncovered ^ (1 << u), can_add):
+        for part in _extend_maximal(1 << u, uncovered ^ (1 << u), 0, can_add):
             chosen.append(part)
             if feasible(uncovered & ~part, k - 1, chosen):
                 return True

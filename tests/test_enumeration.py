@@ -309,3 +309,74 @@ def test_suite_skips_diamond_without_numberings(monkeypatch):
 
     monkeypatch.setattr(en, "max_diamond", unused)
     assert en._suite_violation(random_tournament(7, seed=1), ()) == (None, 0)
+
+
+def test_malformed_reports_raise_value_error():
+    good = json.loads(scan_tribip(2, 6).to_json())
+    texts = ["[]", "{}"]
+    for key, value in (
+        ("witness", []),
+        ("witness", {"a": 35, "b": 28}),
+        ("witness", {**good["witness"], "tournament": 5}),
+        ("params", {}),
+    ):
+        texts.append(json.dumps({**good, key: value}))
+    for text in texts:
+        with pytest.raises(ValueError):
+            SearchReport.from_json(text, revalidate=True)
+
+
+def all_sets_chi_two(t, deadline=None):
+    return np.array([0] + [2] * t.full_mask)
+
+
+# scan name -> (name patched in the enumeration module, its fake, a scan run
+# that the fake drives to a witness no real tournament up to n = 3 gives)
+FORCED = {
+    "chi2": ("chi_all_subsets", all_sets_chi_two, lambda: scan_chi2(1, 3)),
+    "tribip": ("chi_all_subsets", all_sets_chi_two, lambda: scan_tribip(2, 3)),
+    "theorem-suite": ("dom", lambda t, deadline=None: FakeDom(t.n), lambda: scan_theorem_suite(3)),
+    "backdom": ("reverse", lambda t: transitive_tournament(0), lambda: scan_backdom(1, 3)),
+    "legends": ("dom", lambda t, deadline=None: FakeDom(t.n),
+                lambda: legend_frontier(transitive_tournament(2), Numbering((0, 1)), 3)),
+}
+
+
+def changed(key, value):
+    if key == "tournament":
+        return formats.emit_compact(cyclic_triangle())
+    if value is None:
+        return 0
+    if isinstance(value, list):
+        return value + [0]
+    return value + (1 if isinstance(value, int) else "x")
+
+
+@pytest.mark.parametrize("scan", list(FORCED))
+def test_forced_witness_revalidates_only_while_forced(monkeypatch, scan):
+    name, fake, run = FORCED[scan]
+    monkeypatch.setattr(en, name, fake)
+    rep = run()
+    assert rep.scan == scan and rep.outcome == "witness"
+    text = rep.to_json()
+    SearchReport.from_json(text, revalidate=True)
+    for key, value in rep.witness.items():
+        doctored = json.loads(text)
+        doctored["witness"][key] = changed(key, value)
+        assert doctored["witness"][key] != value
+        with pytest.raises(ValueError):
+            SearchReport.from_json(json.dumps(doctored), revalidate=True)
+    monkeypatch.undo()
+    with pytest.raises(ValueError):
+        SearchReport.from_json(text, revalidate=True)
+
+
+def test_cli_scan_names_are_the_scan_table():
+    import argparse
+
+    from tourlab import cli
+
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    name = next(a for a in sub.choices["scan"]._actions if a.dest == "name")
+    assert list(name.choices) == list(en._SCANS) == list(FORCED)
