@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import itertools
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +11,12 @@ import pytest
 import oracles as orc
 
 import tourlab.enumeration as en
+from tourlab.core import backedge_sets
 from tourlab import (
     CanonicalForm,
     Numbering,
     CapacityError,
+    OrderedTournament,
     SearchReport,
     Tournament,
     canonical_code,
@@ -324,6 +328,74 @@ def test_malformed_reports_raise_value_error():
     for text in texts:
         with pytest.raises(ValueError):
             SearchReport.from_json(text, revalidate=True)
+
+
+def test_self_contradicting_reports_fail_to_load():
+    good = json.loads(scan_tribip(2, 6).to_json())
+    SearchReport.from_json(json.dumps(good), revalidate=True)
+    per_n = good["counters"]["per_n"]
+    for doctored in (
+        {**good, "outcome": "exhausted"},
+        {**good, "params": {**good["params"], "n_max": 3}},
+        {**good, "witness": None},
+        {**good, "corpus": {**good["corpus"], "n_max": 5}},
+        {**good, "params": {**good["params"], "n_max": 10**9}},
+        {**good, "counters": {"per_n": {k: v for k, v in per_n.items() if k != "6"}}},
+    ):
+        with pytest.raises(ValueError):
+            SearchReport.from_json(json.dumps(doctored), revalidate=True)
+    # no scan writes a report that n_max 0 would describe
+    with pytest.raises(ValueError):
+        scan_chi2(2, 0)
+
+
+def test_suite_consults_the_module_graph_omega(monkeypatch):
+    monkeypatch.setattr(en, "graph_omega", lambda g: 0)
+    rep = scan_theorem_suite(3)
+    assert rep.witness["theorem"] == "backedge_sandwich"
+    assert formats.parse_compact(rep.witness["tournament"]).n == 1
+    assert list(rep.counters["per_n"]) == ["1"]
+
+
+def test_suite_solves_each_distinct_backedge_graph_once(monkeypatch, corpus):
+    solved = []
+    real = en.graph_chi
+
+    def counted(g):
+        solved.append(g.adj)
+        return real(g)
+
+    monkeypatch.setattr(en, "graph_chi", counted)
+    d = json.loads(scan_theorem_suite(5).to_json())
+    distinct = {
+        tuple(backedge_sets(OrderedTournament(t, Numbering(perm))))
+        for n in range(1, 6)
+        for t in corpus[n]
+        for perm in itertools.permutations(range(n))
+    }
+    assert len(solved) == len(set(solved)) == len(distinct)
+    assert set(solved) == distinct
+    d.pop("wall_time")
+    text = json.dumps(d, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "fd9f047c991bb9cf"
+
+
+def test_benchmark_tracer_sees_every_suite_binding():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        scan_theorem_suite(4)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    for name in ("backedge_graph", "graph_chi", "graph_omega", "local_chromatic_number",
+                 "max_diamond", "dom"):
+        assert tracer.binding_calls[f"tourlab.enumeration.{name}"] > 0, name
+    assert tracer.binding_calls["tourlab.solvers.graph_omega"] > 0
 
 
 def all_sets_chi_two(t, deadline=None):
