@@ -1,9 +1,11 @@
 """Bitset kernels behind the hot loops.
 
 Vectorized numpy where the computation vectorizes (transitive tables, chi
-tables by zeta/Mobius cover products) and plain Python loops over int bitsets
-where it is sequential (canonical-code branch-and-bound and the orderly
-generation test, domination search).
+tables by zeta/Mobius cover products, the greedy domination certificates of
+the subdomination scan) and plain Python loops over int bitsets where it is
+sequential (canonical-code branch-and-bound and the orderly generation test,
+domination search, and the scan's exact fallback on the subsets no
+certificate settles).
 """
 
 from typing import Optional
@@ -188,10 +190,23 @@ def chi_table_from_trans(trans: np.ndarray, deadline=None) -> np.ndarray:
 # A vertex is covered by X when it lies in X or has an in-neighbour in X.
 # The search branches on the lowest uncovered vertex: it, or one of its
 # in-neighbours, must be in X. The scan takes the maximum over subsets S of
-# the domination number of the subtournament induced on S. Work per subset
-# is a feasibility test at the current best (usually cheap); only subsets
-# beating it pay for an exact solve.
+# the domination number of the subtournament induced on S. It seeds the
+# maximum `best` with the exact value of the first subset, then takes the
+# subsets in numpy chunks and certifies dom(S) <= best for a whole chunk at
+# once: best - 1 greedy steps, each adding the vertex of S that covers the
+# most still-uncovered vertices of S, then an exact last step asking whether
+# one vertex of S covers the rest. A certificate is at most best vertices of
+# S dominating S, so a certified subset cannot raise the maximum. Only the
+# subsets it leaves open go through the exact search, one at a time: a
+# feasibility test at best, and on failure deepening to the new maximum.
+# On a 2-core x86 box, paley(19) (524,287 subsets, none left open) takes
+# about 0.1-0.2 s this way, against 0.8-1.5 s for one exact search per
+# subset; random 20-vertex tournaments (seeds 0-3) leave 33 to 7,554
+# subsets open and take about 0.2-0.4 s.
 # ---------------------------------------------------------------------------
+
+_CHUNK = 1 << 12  # about 0.3 MB of certificate work arrays at 20 vertices
+
 
 def dom_search(out_sets, in_sets, within: int, und: int, k: int,
                deadline=None) -> Optional[int]:
@@ -218,22 +233,75 @@ def dom_search(out_sets, in_sets, within: int, und: int, k: int,
     return None
 
 
+def _certified(closed: np.ndarray, masks: np.ndarray, k: int) -> np.ndarray:
+    """Boolean per mask S: k greedy steps inside S dominate S.
+
+    closed[v] holds v and its out-neighbours, and masks is a 1-d array; both
+    are uint64. Each step adds the vertex of S that covers the most
+    still-uncovered vertices of S (the highest index among ties), so the
+    last step is exact: it empties the uncovered set iff one vertex of S
+    covers all of it. True proves dom(S) <= k; False proves nothing.
+    """
+    n = len(closed)
+    index = np.arange(n, dtype=np.uint16)[:, None]
+    # filled one vertex row at a time, so no n x 64-bit array is ever built
+    inside = np.empty((n, len(masks)), bool)
+    key = np.empty((n, len(masks)), np.uint16)
+    row = np.empty_like(masks)
+    for v in range(n):
+        np.bitwise_and(masks, np.uint64(1 << v), out=row)
+        np.not_equal(row, 0, out=inside[v])
+    und = masks.copy()
+    for _ in range(k):
+        for v in range(n):
+            np.bitwise_and(und, closed[v], out=row)
+            np.bitwise_count(row, out=key[v])
+        # gain << 6 | v orders by gain, then by index (v < 64); 0 outside S
+        key <<= 6
+        key |= index
+        key *= inside
+        und &= ~closed[key.max(axis=0) & 63]
+        if not und.any():
+            break
+    return und == 0
+
+
 def subdom_scan(out_sets, n: int, masks=None, deadline=None) -> int:
     """max over nonempty subsets S of dom(induced subtournament on S).
 
     S runs over every nonempty subset, or over the given nonempty masks.
+    The maximum starts at the exact value of the first subset scanned (the
+    full set when masks is None, else masks[0]). The subsets are then taken
+    in chunks of up to 4096 (every subset in increasing order, or the masks
+    in their given order); a vectorized greedy certificate of dom(S) <= best
+    settles most of each chunk, and the exact search runs only on the rest.
+    The deadline, if any, is checked once per chunk and inside the search.
     """
     if n == 0:
         return 0
     full = (1 << n) - 1
+    if masks is None:
+        first = full
+        chunks = (np.arange(lo, min(lo + _CHUNK, full + 1), dtype=np.uint64)
+                  for lo in range(1, full + 1, _CHUNK))
+    else:
+        masks = np.array(masks, dtype=np.uint64)
+        if len(masks) == 0:
+            return 0
+        first = int(masks[0])
+        chunks = (masks[lo:lo + _CHUNK] for lo in range(0, len(masks), _CHUNK))
     in_sets = [full & ~(o | (1 << v)) for v, o in enumerate(out_sets)]
-    best = 0
-    for mask in range(1, 1 << n) if masks is None else masks:
-        if best >= 1 and dom_search(out_sets, in_sets, mask, mask, best,
-                                    deadline) is not None:
-            continue
-        k = best + 1
-        while dom_search(out_sets, in_sets, mask, mask, k, deadline) is None:
-            k += 1
-        best = k
+    closed = np.array([o | 1 << v for v, o in enumerate(out_sets)], dtype=np.uint64)
+    best = 1
+    while dom_search(out_sets, in_sets, first, first, best, deadline) is None:
+        best += 1
+    for chunk in chunks:
+        if deadline is not None:
+            deadline.check()
+        for mask in chunk[~_certified(closed, chunk, best)].tolist():
+            if dom_search(out_sets, in_sets, mask, mask, best, deadline) is not None:
+                continue
+            best += 1
+            while dom_search(out_sets, in_sets, mask, mask, best, deadline) is None:
+                best += 1
     return best

@@ -363,9 +363,11 @@ def _suite_violation(
     graph is solved once for as long as the caller keeps the dict (one scan
     in _suite_examine; this call alone when it is None). The key packs the
     backedge sets row by row under a leading 1 bit, so graphs of different
-    orders never share a key. The cache is exact: chi and omega are
-    functions of the graph alone, and a miss builds the graph with
-    backedge_graph, which validates it, before either solver sees it.
+    orders never share a key. Each pair is also kept keyed by itself, so the
+    entries share one tuple per distinct pair instead of one per graph. The
+    cache is exact: chi and omega are functions of the graph alone, and a
+    miss builds the graph with backedge_graph, which validates it, before
+    either solver sees it.
     """
     if solved is None:
         solved = {}
@@ -389,7 +391,8 @@ def _suite_violation(
         pair = solved.get(key)
         if pair is None:
             g = backedge_graph(ot)
-            pair = solved[key] = (graph_chi(g), graph_omega(g))
+            pair = (graph_chi(g), graph_omega(g))
+            pair = solved[key] = solved.setdefault(pair, pair)
         gchi, gomega = pair
         if not chi_value <= gchi <= gomega * max(chi_value, 1):
             # a list, as JSON reads it back, so a loaded witness compares equal
@@ -402,7 +405,7 @@ def _suite_violation(
 
 
 def _suite_examine(params: dict, deadline: Optional[Deadline]):
-    solved: dict[int, tuple[int, int]] = {}
+    solved: dict = {}  # graph key -> pair, and each pair -> itself
 
     def examine(t: Tournament):
         perms = itertools.permutations(range(t.n)) if t.n <= 6 else ()

@@ -63,9 +63,11 @@ def _extend_maximal(s: int, rest: int, banned: int, can_add):
             yield from _extend_maximal(s, scan ^ b, banned | b, can_add)
             return
         scan ^= b
-    for w in bits(banned):
-        if can_add(s, w):
+    while banned:
+        b = banned & -banned
+        if can_add(s, b.bit_length() - 1):
             return
+        banned ^= b
     yield s
 
 
@@ -80,7 +82,9 @@ def _min_cover(
     Iterative deepening on the class count; each level covers the least
     uncovered vertex by a maximal property subset of the uncovered set, so the
     chosen classes are disjoint and the search tree is canonical. Failed
-    (uncovered, budget) states are memoized by the largest budget that failed.
+    (uncovered, budget) states are memoized by the largest budget that failed,
+    from budget 2 up: a one-class failure is a single set_ok test, cheaper to
+    repeat than to store (it made up 99 % of the entries on 24 vertices).
     """
     if full == 0:
         return 0, ()
@@ -99,7 +103,6 @@ def _min_cover(
             if set_ok(uncovered):
                 chosen.append(uncovered)
                 return True
-            fail_at[uncovered] = 1
             return False
         u = (uncovered & -uncovered).bit_length() - 1
         for part in _extend_maximal(1 << u, uncovered ^ (1 << u), 0, can_add):
@@ -130,9 +133,14 @@ def chi(t: Tournament, s: Optional[int] = None, deadline: Optional[Deadline] = N
     out, in_ = t.out_sets, [t.in_set(v) for v in range(t.n)]
 
     def can_add(cls: int, w: int) -> bool:
-        for a in bits(cls & out[w]):
-            if out[a] & cls & in_[w]:
+        # a cyclic triangle w -> a -> c -> w needs a in cls & out[w] and c in
+        # cls & in_[w] with a -> c
+        outs, ins = cls & out[w], cls & in_[w]
+        while outs:
+            low = outs & -outs
+            if out[low.bit_length() - 1] & ins:
                 return False
+            outs ^= low
         return True
 
     value, classes = _min_cover(
@@ -289,7 +297,11 @@ def subdom(
 
     Exhaustive over all 2^n subsets up to n = 20. Beyond that the result is a
     sampled lower bound (whole set, every in/out neighbourhood, and seeded
-    random subsets) and is flagged exact=False.
+    random subsets) and is flagged exact=False. Both paths run
+    _kernels.subdom_scan with the whole set first, so the maximum starts at
+    dom(t); the scan certifies dom(S) <= that maximum greedily in numpy
+    chunks and solves exactly only the subsets a certificate misses.
+    paley(19), the worst case up to 20 vertices, takes about 0.1-0.2 s.
     """
     if t.n <= 20:
         return SubdomResult(_kernels.subdom_scan(t.out_sets, t.n, deadline=deadline), True)

@@ -3,7 +3,10 @@
 Each oracle recomputes its quantity straight from the definition (all
 partitions, all subsets, all vertex combinations, all relabellings), sharing
 nothing with the algorithms under test beyond the Tournament container. Slow
-on purpose; sized for the test corpus only.
+on purpose; sized for the test corpus only. The one exception is
+subdom_by_scan, the per-subset loop the chunked subdom scan replaced: it
+reuses the kernel's dom_search, which is itself checked against
+dom_by_combinations.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import itertools
 
 import numpy as np
 
+from tourlab._kernels import dom_search
 from tourlab.core import Graph, Tournament, bits
 
 
@@ -170,6 +174,25 @@ def subdom_by_subsets(t: Tournament) -> int:
     return max(
         (dom_by_combinations(t, m) for m in range(1, 1 << t.n)), default=0
     )
+
+
+def subdom_by_scan(out_sets, n: int, masks=None) -> int:
+    """max over the nonempty subsets (or the given masks) of their domination
+    number, one exact search per subset: a feasibility test at the best value
+    so far, and deepening only where a subset beats it."""
+    if n == 0:
+        return 0
+    full = (1 << n) - 1
+    in_sets = [full & ~(o | (1 << v)) for v, o in enumerate(out_sets)]
+    best = 0
+    for mask in range(1, 1 << n) if masks is None else masks:
+        if best >= 1 and dom_search(out_sets, in_sets, mask, mask, best) is not None:
+            continue
+        k = best + 1
+        while dom_search(out_sets, in_sets, mask, mask, k) is None:
+            k += 1
+        best = k
+    return best
 
 
 def graph_chi_by_assignment(g: Graph) -> int:

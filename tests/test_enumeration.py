@@ -11,6 +11,7 @@ import pytest
 import oracles as orc
 
 import tourlab.enumeration as en
+import tourlab.solvers as solvers
 from tourlab.core import backedge_sets
 from tourlab import (
     CanonicalForm,
@@ -28,9 +29,11 @@ from tourlab import (
     is_canonical,
     isomorphic,
     legend_frontier,
+    paley,
     random_tournament,
     read_corpus,
     revalidate_witness,
+    s_t,
     scan_backdom,
     scan_chi2,
     scan_theorem_suite,
@@ -396,6 +399,25 @@ def test_benchmark_tracer_sees_every_suite_binding():
                  "max_diamond", "dom"):
         assert tracer.binding_calls[f"tourlab.enumeration.{name}"] > 0, name
     assert tracer.binding_calls["tourlab.solvers.graph_omega"] > 0
+
+
+def test_benchmark_tracer_sees_every_instances_binding():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # called through the module, as the benchmark does, so the bindings see them
+        solvers.subdom(paley(11))
+        solvers.subdom(random_tournament(21, 0))  # the sampled path beyond 20 vertices
+        solvers.chi(s_t(3))
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    for name in ("_kernels.subdom_scan", "solvers.subdom", "solvers.chi"):
+        assert tracer.binding_calls[f"tourlab.{name}"] > 0, name
 
 
 def all_sets_chi_two(t, deadline=None):

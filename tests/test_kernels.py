@@ -139,3 +139,72 @@ def test_subdom_scan_over_given_masks():
     masks = _sample_subsets(t.n, seed=2, k=25)
     got = _kernels.subdom_scan(t.out_sets, t.n, masks)
     assert got == max(orc.dom_by_combinations(t, s) for s in masks)
+
+
+def _scan_fallbacks(monkeypatch, t):
+    """subdom_scan's value, and the subsets its exact search was run on
+    (each top-level dom_search call has und == within)."""
+    searched = set()
+    search = _kernels.dom_search
+
+    def spy(out_sets, in_sets, within, und, k, deadline=None):
+        if und == within:
+            searched.add(within)
+        return search(out_sets, in_sets, within, und, k, deadline)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "dom_search", spy)
+        value = _kernels.subdom_scan(t.out_sets, t.n)
+    return value, searched
+
+
+def test_chunked_subdom_scan_matches_per_subset_scan(monkeypatch):
+    # every class up to 6 vertices, paley(11) and random n = 9..14, with the
+    # default chunk and with 64-subset chunks so every input spans several
+    p11 = paley(11)
+    cases = [p11] + [t for n in range(7) for t in enumerate_all(n)]
+    cases += [random_tournament(n, seed) for n in range(9, 15) for seed in (0, 1, 2)]
+    want = [orc.subdom_by_scan(t.out_sets, t.n) for t in cases]
+    assert want[0] == orc.subdom_by_subsets(p11) == 3
+    assert [_kernels.subdom_scan(t.out_sets, t.n) for t in cases] == want
+    monkeypatch.setattr(_kernels, "_CHUNK", 64)
+    assert [_kernels.subdom_scan(t.out_sets, t.n) for t in cases] == want
+
+
+def test_subdom_scan_falls_back_where_the_certificate_fails(monkeypatch):
+    # these inputs leave subsets the greedy certificate cannot settle; the
+    # exact search must run on them and keep the value; random_tournament(13, 2)
+    # also raises the maximum above the full set's domination number
+    for n, seed in ((12, 2), (13, 2)):
+        t = random_tournament(n, seed)
+        value, searched = _scan_fallbacks(monkeypatch, t)
+        assert searched - {t.full_mask}
+        assert value == orc.subdom_by_scan(t.out_sets, t.n)
+    assert value == 3 > orc.dom_by_combinations(t) == 2
+
+
+def test_subdom_scan_on_paley_19():
+    # the smallest tournament with domination number 4 (E. and G. Szekeres)
+    t = paley(19)
+    assert _kernels.subdom_scan(t.out_sets, t.n) == 4
+
+
+def test_chunked_subdom_scan_over_given_masks(monkeypatch):
+    # a one-vertex first mask seeds 1; the full paley(7) then deepens to 3
+    t = paley(7)
+    assert _kernels.subdom_scan(t.out_sets, t.n, [1, t.full_mask]) == 3
+    t = random_tournament(12, seed=5)
+    assert _kernels.subdom_scan(t.out_sets, t.n, []) == 0
+    masks = _sample_subsets(t.n, seed=4, k=300)
+    want = orc.subdom_by_scan(t.out_sets, t.n, masks)
+    assert want == max(orc.dom_by_combinations(t, s) for s in masks)
+    assert _kernels.subdom_scan(t.out_sets, t.n, masks) == want
+    monkeypatch.setattr(_kernels, "_CHUNK", 16)
+    assert _kernels.subdom_scan(t.out_sets, t.n, masks) == want
+    # masks up to 64 bits wide go through uint64 unchanged
+    t = random_tournament(64, seed=1)
+    halves = np.random.Generator(np.random.PCG64(5)).integers(0, 1 << 32, (200, 2))
+    masks = [t.full_mask] + [int(hi) << 32 | int(lo) | 1 for hi, lo in halves]
+    masks += [m | 1 << 63 for m in masks[1:40]]
+    assert _kernels.subdom_scan(t.out_sets, t.n, masks) == orc.subdom_by_scan(
+        t.out_sets, t.n, masks)

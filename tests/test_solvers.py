@@ -311,3 +311,11 @@ def test_subdom_honours_deadline():
     with pytest.raises(DeadlineExceeded):
         subdom(paley(19), deadline=Deadline(0.05))
     assert time.monotonic() - start < 0.5
+
+
+def test_chunked_subdom_scan_honours_deadline():
+    # about 0.25 s of chunked scanning; the deadline is checked per chunk
+    start = time.monotonic()
+    with pytest.raises(DeadlineExceeded):
+        subdom(random_tournament(20, seed=1), deadline=Deadline(0.05))
+    assert time.monotonic() - start < 0.5
