@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 MAX_VERTICES = 64
 
@@ -267,6 +267,58 @@ def backedge_sets(ot: OrderedTournament) -> list[int]:
         after ^= 1 << v
         adj[v] = t.out_sets[v] ^ after
     return adj
+
+
+def numberings(
+    t: Tournament,
+    cut: Optional[Callable[[int, int, int], bool]] = None,
+    deadline: Optional[Deadline] = None,
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Every numbering of t in itertools.permutations order, as (perm, rows).
+
+    The walk places one vertex at a time, trying the unplaced vertices in
+    increasing index order. rows[v] is v's backedge set (backedge_sets),
+    out(v) ^ (the unplaced vertices minus v), which is final the moment v is
+    placed. The one rows list is updated in place and yielded with every
+    numbering, so a caller copies what it keeps. If cut(v, placed, row) is
+    true, v is not placed after the prefix whose vertex set is placed, and
+    every numbering beginning with that prefix plus v is skipped. The
+    deadline is checked once per step: each vertex tried and each backtrack.
+    """
+    n, out, full = t.n, t.out_sets, t.full_mask
+    rows = [0] * n
+    if n == 0:
+        if deadline is not None:
+            deadline.check()
+        yield (), rows
+        return
+    perm: list[int] = []
+    todo = [full]  # todo[k]: the vertices still to try at position k
+    placed = 0
+    while todo:
+        if deadline is not None:
+            deadline.check()
+        rest = todo[-1]
+        if not rest:
+            todo.pop()
+            if perm:
+                placed ^= 1 << perm.pop()
+            continue
+        b = rest & -rest
+        todo[-1] = rest ^ b
+        v = b.bit_length() - 1
+        row = out[v] ^ full ^ placed ^ b
+        if cut is not None and cut(v, placed, row):
+            continue
+        rows[v] = row
+        perm.append(v)
+        placed |= b
+        if placed == full:
+            yield tuple(perm), rows
+            perm.pop()
+            placed ^= b
+        else:
+            todo.append(full ^ placed)
 
 
 def backedge_graph(ot: OrderedTournament) -> Graph:

@@ -26,7 +26,6 @@ a corrupted solver and confirm the harness catches it.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -40,11 +39,11 @@ from .core import (
     OrderedTournament,
     Tournament,
     backedge_graph,
-    backedge_sets,
     bits,
     complete_to,
     induce,
     is_transitive,
+    numberings,
     reverse,
 )
 from .formats import parse_compact, emit_compact, tournament_code
@@ -353,21 +352,22 @@ def scan_tribip(d: int, n_max: int, *, deadline: Optional[Deadline] = None) -> S
 
 
 def _suite_violation(
-    t: Tournament, perms, solved: Optional[dict] = None
+    t: Tournament, walk, solved: Optional[dict] = None
 ) -> tuple[Optional[tuple], int]:
     """The first proved theorem t breaks, as (name, numbering, lhs, rhs), or None.
 
-    dom <= chi is checked first, then each numbering of perms in turn; the
-    second value is the number of numberings tried. solved maps a labelled
-    backedge graph to its (graph_chi, graph_omega) pair, so each distinct
-    graph is solved once for as long as the caller keeps the dict (one scan
-    in _suite_examine; this call alone when it is None). The key packs the
-    backedge sets row by row under a leading 1 bit, so graphs of different
-    orders never share a key. Each pair is also kept keyed by itself, so the
-    entries share one tuple per distinct pair instead of one per graph. The
-    cache is exact: chi and omega are functions of the graph alone, and a
-    miss builds the graph with backedge_graph, which validates it, before
-    either solver sees it.
+    dom <= chi is checked first, then each numbering of walk in turn; walk
+    yields (perm, rows) as core.numberings does, rows[v] being v's backedge
+    set under perm. The second value is the number of numberings tried.
+    solved maps a labelled backedge graph to its (graph_chi, graph_omega)
+    pair, so each distinct graph is solved once for as long as the caller
+    keeps the dict (one scan in _suite_examine; this call alone when it is
+    None). The key packs rows vertex by vertex under a leading 1 bit, so
+    graphs of different orders never share a key. Each pair is also kept
+    keyed by itself, so the entries share one tuple per distinct pair instead
+    of one per graph. The cache is exact: chi and omega are functions of the
+    graph alone, and a miss builds the graph with backedge_graph, which
+    validates it, before either solver sees it.
     """
     if solved is None:
         solved = {}
@@ -378,7 +378,8 @@ def _suite_violation(
         return ("dom_le_chi", None, dom_value, chi_value), 0
     diamond_value = None  # only the numbering checks use it
     tried = 0
-    for perm in perms:
+    n = t.n
+    for perm, rows in walk:
         tried += 1
         if diamond_value is None:
             best = max_diamond(t)
@@ -386,8 +387,8 @@ def _suite_violation(
         ot = OrderedTournament(t, Numbering(perm))
         local = local_chromatic_number(ot, table=tbl)
         key = 1
-        for row in backedge_sets(ot):
-            key = key << t.n | row
+        for row in rows:
+            key = key << n | row
         pair = solved.get(key)
         if pair is None:
             g = backedge_graph(ot)
@@ -408,8 +409,7 @@ def _suite_examine(params: dict, deadline: Optional[Deadline]):
     solved: dict = {}  # graph key -> pair, and each pair -> itself
 
     def examine(t: Tournament):
-        perms = itertools.permutations(range(t.n)) if t.n <= 6 else ()
-        bad, tried = _suite_violation(t, perms, solved)
+        bad, tried = _suite_violation(t, numberings(t) if t.n <= 6 else (), solved)
         if bad is None:
             return tried, None
         name, perm, lhs, rhs = bad
@@ -424,9 +424,10 @@ def scan_theorem_suite(n_max: int, *, deadline: Optional[Deadline] = None) -> Se
 
     Numbering-free checks (dom <= chi) run for all n <= n_max (cap 7); the
     per-numbering checks (backedge sandwich, diamond bound against twice the
-    local chromatic number, dom <= local + 1) run for n <= 6. Within one
-    scan each distinct labelled backedge graph is solved once: its
-    (graph_chi, graph_omega) pair is cached under its packed backedge sets,
+    local chromatic number, dom <= local + 1) run for n <= 6, over the walk
+    of core.numberings. Within one scan each distinct labelled backedge
+    graph is solved once: its (graph_chi, graph_omega) pair is cached under
+    its packed backedge sets, taken from the walk,
     which is exact because both values depend on the graph alone. Up to
     n = 6 that is 10,715 solves for 41,871 numberings.
     """
@@ -472,11 +473,11 @@ def _first_avoiding_numbering(
 ) -> Optional[tuple[int, ...]]:
     """The first numbering of t in itertools.permutations order that avoids oh.
 
-    Numberings are built one position at a time, trying vertices in
-    increasing index order, so complete ones come in permutations order. A
-    copy of the pattern appears the moment its last vertex is placed, so only
-    copies ending at the new vertex are sought, and the first one cuts the
-    branch. The deadline is checked once per search node.
+    The first numbering core.numberings yields when its cut drops every
+    prefix that contains a copy of the pattern. A copy appears the moment its
+    last vertex is placed, so the cut seeks only copies ending at the vertex
+    being placed, by a search that fills the pattern's positions from the
+    last one down. The walk checks the deadline once per step.
     """
     hp, m = oh.order.perm, oh.t.n
     if m == 0:
@@ -486,8 +487,7 @@ def _first_avoiding_numbering(
     rel = [[ins if oh.t.has_edge(hp[a], hp[b]) else t.out_sets for a in range(b)]
            for b in range(m)]
     before = [0] * t.n  # before[u]: the vertices numbered before u
-    full = t.full_mask
-    prefix: list[int] = []
+    last = rel[m - 1]
 
     def completes(cands: list[int]) -> bool:
         # cands[a]: the vertices that may fill pattern position a, the
@@ -504,22 +504,13 @@ def _first_avoiding_numbering(
                 return True
         return False
 
-    def dfs(placed: int) -> bool:
-        if deadline is not None:
-            deadline.check()
-        if placed == full:
+    def cut(v: int, placed: int, row: int) -> bool:
+        if completes([placed & r[v] for r in last]):
             return True
-        for v in bits(full & ~placed):
-            if completes([placed & r[v] for r in rel[m - 1]]):
-                continue
-            before[v] = placed
-            prefix.append(v)
-            if dfs(placed | 1 << v):
-                return True
-            prefix.pop()
+        before[v] = placed
         return False
 
-    return tuple(prefix) if dfs(0) else None
+    return next((perm for perm, _ in numberings(t, cut, deadline)), None)
 
 
 def _legends_examine(params: dict, deadline: Optional[Deadline]):
@@ -557,7 +548,7 @@ def legend_frontier(
 
     h must be transitive (only transitive ordered tournaments are unavoidable
     at high domination). Every numbering of every class is covered, at each
-    n and without sampling, by the prefix search of _first_avoiding_numbering;
+    n and without sampling, by the cut walk of _first_avoiding_numbering;
     the numbering it returns is confirmed with ordered_contains before it is
     reported. The frontier is asserted below |h| * 2^|h|.
     """

@@ -24,6 +24,7 @@ from .core import (
     complete_to,
     induce_graph,
     is_transitive_set,
+    numberings,
 )
 from .solvers import Submeasure, chi, chi_all_subsets, graph_chi, graph_omega
 
@@ -214,9 +215,14 @@ def local_sets(ot: OrderedTournament) -> list[int]:
 def local_chromatic_number(
     ot: OrderedTournament, table=None, deadline: Optional[Deadline] = None
 ) -> int:
-    """Max over vertices of chi(backward out-neighbours + forward in-neighbours)."""
+    """Max over vertices of chi(backward out-neighbours + forward in-neighbours).
+
+    The local sets are the backedge sets of core.backedge_sets; a max does
+    not depend on their order, so they are not put in numbering order as
+    local_sets does.
+    """
     value_of = _subset_chi(ot.t, table, deadline)
-    return max((value_of(s) for s in local_sets(ot)), default=0)
+    return max((value_of(s) for s in backedge_sets(ot)), default=0)
 
 
 def strong_chromatic_number(ot: OrderedTournament, deadline: Optional[Deadline] = None) -> int:
@@ -318,10 +324,15 @@ def min_local_numbering(
 ) -> tuple[Numbering, int]:
     """Numbering minimizing the local chromatic number.
 
-    Exact mode (n <= 9) branches over prefixes; a vertex's local set is final
-    the moment it is placed, so the running maximum prunes against the best
-    complete numbering. Heuristic mode runs the diamond-free construction at
-    c = 0, 1, ... and returns the first numbering it yields.
+    Exact mode (n <= 9) is a branch-and-bound on core.numberings. A vertex's
+    local set is its backedge set, final the moment it is placed, so reach[k]
+    holds the largest local chromatic value among the first k placed
+    vertices, and the walk's cut drops a prefix once that running maximum
+    reaches the best value found. Every numbering the walk still yields
+    beats the best so far and replaces it, so the result is the first
+    numbering in itertools.permutations order that attains the minimum.
+    Heuristic mode runs the diamond-free construction at c = 0, 1, ... and
+    returns the first numbering it yields.
     """
     if mode == "heuristic":
         c = 0
@@ -335,31 +346,21 @@ def min_local_numbering(
         raise ValueError(f"unknown mode {mode!r}")
     if t.n > 9:
         raise CapacityError("exact numbering search capped at 9 vertices")
-    if t.n == 0:
-        return Numbering(()), 0
-    tbl = chi_all_subsets(t, deadline)
-    full = t.full_mask
+    tbl = chi_all_subsets(t, deadline).tolist()
     best_val = t.n + 1
     best_perm: tuple[int, ...] = ()
-    prefix: list[int] = []
+    reach = [0] * (t.n + 1)  # reach[k]: the running maximum after k placements
 
-    def dfs(placed: int, committed: int):
-        nonlocal best_val, best_perm
-        if committed >= best_val:
-            return
-        if placed == full:
-            best_val = committed
-            best_perm = tuple(prefix)
-            return
-        if deadline is not None:
-            deadline.check()
-        for v in bits(full & ~placed):
-            local = (placed & t.out_sets[v]) | (full & ~placed & ~(1 << v) & t.in_set(v))
-            prefix.append(v)
-            dfs(placed | 1 << v, max(committed, int(tbl[local])))
-            prefix.pop()
+    def cut(v: int, placed: int, row: int) -> bool:
+        k = placed.bit_count()
+        value = max(reach[k], tbl[row])
+        if value >= best_val:
+            return True
+        reach[k + 1] = value
+        return False
 
-    dfs(0, 0)
+    for perm, _ in numberings(t, cut, deadline):
+        best_val, best_perm = reach[t.n], perm
     return Numbering(best_perm), best_val
 
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 import oracles as orc
@@ -31,6 +34,7 @@ from tourlab import (
     tournament_from_edges,
     transitive_tournament,
 )
+from tourlab.core import numberings
 
 
 def test_bits_and_mask_roundtrip():
@@ -201,3 +205,36 @@ def test_deadline_expires():
     with pytest.raises(DeadlineExceeded):
         d.check()
     assert not Deadline(60.0).expired()
+
+
+def test_numberings_walk_every_permutation_in_order(corpus):
+    classes = [transitive_tournament(0)] + [t for n in range(1, 6) for t in corpus[n]]
+    for t in classes:
+        walked = []
+        for perm, rows in numberings(t):
+            assert [rows[v] for v in perm] == orc.local_sets_by_positions(t, perm)
+            walked.append(perm)
+        assert walked == list(itertools.permutations(range(t.n)))
+
+
+def test_numberings_cut_drops_exactly_the_cut_prefixes(corpus):
+    classes = [t for n in range(1, 6) for t in corpus[n]]
+    classes += [random_tournament(6, seed) for seed in range(3)]
+    for seed, t in enumerate(classes):
+        def cuts(v, placed):
+            # a fixed pseudo-random verdict per (placed vertex set, next vertex)
+            return random.Random(f"{seed}:{placed}:{v}").random() < 0.15
+
+        def cut(v, placed, row):
+            assert row == t.out_sets[v] ^ (t.full_mask & ~placed & ~(1 << v))
+            return cuts(v, placed)
+
+        want = [perm for perm in itertools.permutations(range(t.n))
+                if not any(cuts(perm[k], mask_of(perm[:k])) for k in range(t.n))]
+        assert [perm for perm, _ in numberings(t, cut)] == want
+
+
+def test_numberings_honour_deadline():
+    for t in (transitive_tournament(0), cyclic_triangle(), random_tournament(8, 0)):
+        with pytest.raises(DeadlineExceeded):
+            next(numberings(t, deadline=Deadline(-1.0)))

@@ -12,6 +12,7 @@ import oracles as orc
 
 import tourlab.enumeration as en
 import tourlab.solvers as solvers
+import tourlab.structure as structure
 from tourlab.core import backedge_sets
 from tourlab import (
     CanonicalForm,
@@ -417,6 +418,24 @@ def test_benchmark_tracer_sees_every_instances_binding():
         tracer.uninstall()
     assert tracer.missing == []
     for name in ("_kernels.subdom_scan", "solvers.subdom", "solvers.chi"):
+        assert tracer.binding_calls[f"tourlab.{name}"] > 0, name
+
+
+def test_benchmark_tracer_sees_the_walker_searches():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # called through the module, as the benchmark does, so the bindings see them
+        structure.min_local_numbering(s_t(3))
+        legend_frontier(transitive_tournament(2), Numbering((0, 1)), 4)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    for name in ("structure.min_local_numbering", "enumeration.ordered_contains"):
         assert tracer.binding_calls[f"tourlab.{name}"] > 0, name
 
 

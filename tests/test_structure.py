@@ -237,6 +237,18 @@ def test_min_local_numbering_exact_matches_enumeration(corpus):
         assert value == _min_local_by_enumeration(t)
 
 
+def test_min_local_numbering_returns_first_minimal_permutation(corpus):
+    for t in [t for n in range(1, 7) for t in corpus[n]] + [s_t(3)]:
+        tbl = chi_all_subsets(t).tolist()
+
+        def value(perm):
+            return max(tbl[s] for s in orc.local_sets_by_positions(t, perm))
+
+        first = min(itertools.permutations(range(t.n)), key=value)  # min keeps the first
+        nb, got = min_local_numbering(t)
+        assert (nb.perm, got) == (first, value(first))
+
+
 def test_min_local_numbering_modes_and_caps():
     t = random_tournament(10, seed=0)
     with pytest.raises(CapacityError):
