@@ -150,14 +150,18 @@ class Graph:
         if len(self.adj) != self.n:
             raise ValueError("adj length differs from n")
         full = (1 << self.n) - 1
-        for v, a in enumerate(self.adj):
+        adj = self.adj
+        for v, a in enumerate(adj):
             if a & ~full:
                 raise ValueError(f"adj[{v}] leaves the vertex range")
             if a & (1 << v):
                 raise ValueError(f"loop at vertex {v}")
-            for u in bits(a):
-                if not self.adj[u] >> v & 1:
+            while a:
+                low = a & -a
+                u = low.bit_length() - 1
+                if not adj[u] >> v & 1:
                     raise ValueError(f"adjacency not symmetric at {u},{v}")
+                a ^= low
 
     @property
     def full_mask(self) -> int:

@@ -48,7 +48,7 @@ from .core import (
 )
 from .formats import parse_compact, emit_compact, tournament_code
 from .solvers import all_triangle_law, chi_all_subsets, dom, graph_chi, graph_omega
-from .structure import local_chromatic_number, max_diamond, ordered_contains
+from .structure import local_chromatic_number, max_diamond, min_local_numbering, ordered_contains
 
 ENUM_CAP = 7
 
@@ -359,15 +359,29 @@ def _suite_violation(
     dom <= chi is checked first, then each numbering of walk in turn; walk
     yields (perm, rows) as core.numberings does, rows[v] being v's backedge
     set under perm. The second value is the number of numberings tried.
-    solved maps a labelled backedge graph to its (graph_chi, graph_omega)
-    pair, so each distinct graph is solved once for as long as the caller
-    keeps the dict (one scan in _suite_examine; this call alone when it is
-    None). The key packs rows vertex by vertex under a leading 1 bit, so
-    graphs of different orders never share a key. Each pair is also kept
-    keyed by itself, so the entries share one tuple per distinct pair instead
-    of one per graph. The cache is exact: chi and omega are functions of the
-    graph alone, and a miss builds the graph with backedge_graph, which
-    validates it, before either solver sees it.
+
+    The two local checks, diamond <= 2 local and dom <= local + 1, hold under
+    every numbering iff they hold at the least local chromatic number, which
+    depends on the class alone. So on the first numbering min_local_numbering
+    finds that least value (exact), one local_chromatic_number call on its
+    numbering confirms it, and the class is certified when both checks hold
+    there: a proof for every numbering. Only an uncertified class computes
+    each numbering's local chromatic number, in the same check order, so the
+    first violation and the count of numberings tried do not change.
+
+    Every numbering is still checked against the backedge sandwich. solved
+    maps a labelled backedge graph to its (graph_chi, graph_omega) pair, so
+    each distinct graph is solved once for as long as the caller keeps the
+    dict (one scan in _suite_examine; this call alone when it is None). The
+    key packs rows one byte each under a leading 1 byte, in C by bytes and
+    int.from_bytes: each row is below 2^n <= 2^8 for a walk up to 8
+    vertices, and the leading byte sets the orders apart, so no two graphs
+    share a key. An int takes 8 bytes less per stored graph than the bytes
+    object would. Each pair is also kept keyed by itself, so the entries
+    share one tuple per distinct pair instead of one per graph. The cache is
+    exact: chi and omega are functions of the graph alone, and a miss builds
+    the graph with backedge_graph, which validates it, before either solver
+    sees it.
     """
     if solved is None:
         solved = {}
@@ -376,28 +390,32 @@ def _suite_violation(
     dom_value = dom(t).value
     if dom_value > chi_value:
         return ("dom_le_chi", None, dom_value, chi_value), 0
-    diamond_value = None  # only the numbering checks use it
+    certified = None  # only the numbering checks need it
     tried = 0
-    n = t.n
     for perm, rows in walk:
         tried += 1
-        if diamond_value is None:
+        if certified is None:
             best = max_diamond(t)
             diamond_value = 0 if best is None else best.value
-        ot = OrderedTournament(t, Numbering(perm))
-        local = local_chromatic_number(ot, table=tbl)
-        key = 1
-        for row in rows:
-            key = key << n | row
+            least_numbering, least = min_local_numbering(t)
+            if local_chromatic_number(OrderedTournament(t, least_numbering), table=tbl) != least:
+                raise AssertionError(
+                    f"min_local_numbering reports {least} for a numbering it does not attain"
+                )
+            certified = diamond_value <= 2 * least and dom_value <= least + 1
+        key = int.from_bytes(bytes(rows) + b"\x01", "little")
         pair = solved.get(key)
         if pair is None:
-            g = backedge_graph(ot)
+            g = backedge_graph(OrderedTournament(t, Numbering(perm)))
             pair = (graph_chi(g), graph_omega(g))
             pair = solved[key] = solved.setdefault(pair, pair)
         gchi, gomega = pair
         if not chi_value <= gchi <= gomega * max(chi_value, 1):
             # a list, as JSON reads it back, so a loaded witness compares equal
             return ("backedge_sandwich", perm, [chi_value, gchi, gomega], None), tried
+        if certified:
+            continue
+        local = local_chromatic_number(OrderedTournament(t, Numbering(perm)), table=tbl)
         if diamond_value > 2 * local:
             return ("diamond_le_2local", perm, diamond_value, local), tried
         if dom_value > local + 1:
@@ -423,13 +441,16 @@ def scan_theorem_suite(n_max: int, *, deadline: Optional[Deadline] = None) -> Se
     """Assert proved theorems over the corpus; any violation is a bug certificate.
 
     Numbering-free checks (dom <= chi) run for all n <= n_max (cap 7); the
-    per-numbering checks (backedge sandwich, diamond bound against twice the
-    local chromatic number, dom <= local + 1) run for n <= 6, over the walk
-    of core.numberings. Within one scan each distinct labelled backedge
-    graph is solved once: its (graph_chi, graph_omega) pair is cached under
-    its packed backedge sets, taken from the walk,
-    which is exact because both values depend on the graph alone. Up to
-    n = 6 that is 10,715 solves for 41,871 numberings.
+    numbering checks (backedge sandwich, diamond bound against twice the
+    local chromatic number, dom <= local + 1) run for n <= 6. The two local
+    checks are certified once per class at its least local chromatic number
+    (min_local_numbering), which proves them for every numbering; a class
+    that fails the certificate is checked numbering by numbering. The
+    sandwich is checked on every numbering of the walk of core.numberings.
+    Within one scan each distinct labelled backedge graph is solved once:
+    its (graph_chi, graph_omega) pair is cached under its backedge sets,
+    taken from the walk, which is exact because both values depend on the
+    graph alone. Up to n = 6 that is 10,715 solves for 41,871 numberings.
     """
     return _scan("theorem-suite", {"n_max": n_max}, deadline)
 

@@ -352,7 +352,9 @@ def graph_omega(g: Graph, deadline: Optional[Deadline] = None) -> int:
             v = order[i]
             if size + 1 > best:
                 best = size + 1
-            expand(size + 1, remaining & adj[v])
+            sub = remaining & adj[v]
+            if sub:
+                expand(size + 1, sub)
             remaining &= ~(1 << v)
 
     expand(0, g.full_mask)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -197,6 +198,24 @@ def test_graph_validation_and_induce():
     sub, vertices = induce_graph(g, 0b1011)
     assert vertices == (0, 1, 3)
     assert sub.adj == (0b010, 0b001, 0b000)  # only the 0-1 edge survives
+
+
+def test_graph_validation_names_the_first_bad_entry():
+    # vertex by vertex: the range, then a loop, then symmetry in increasing
+    # neighbour order
+    for adj, message in (
+        ((0b110, 0b001, 0), "adjacency not symmetric at 2,0"),
+        ((0b110, 0, 0), "adjacency not symmetric at 1,0"),
+        ((0, 0b100, 0), "adjacency not symmetric at 2,1"),
+        ((0b010, 0, 0b1000), "adjacency not symmetric at 1,0"),
+        ((0b010, 0b001, 0b1000), "adj[2] leaves the vertex range"),
+        ((0b1001, 0, 0), "adj[0] leaves the vertex range"),
+        ((0b010, 0b011, 0), "loop at vertex 1"),
+        ((0b011, 0, 0), "loop at vertex 0"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Graph(3, adj)
+    assert Graph(3, (0b110, 0b101, 0b011)).adj == (0b110, 0b101, 0b011)
 
 
 def test_deadline_expires():

@@ -4,6 +4,7 @@ import itertools
 import json
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tourlab import (
     CanonicalForm,
     Numbering,
     CapacityError,
+    Graph,
     OrderedTournament,
     SearchReport,
     Tournament,
@@ -382,6 +384,107 @@ def test_suite_solves_each_distinct_backedge_graph_once(monkeypatch, corpus):
     d.pop("wall_time")
     text = json.dumps(d, sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "fd9f047c991bb9cf"
+
+
+def suite_by_permutations(corpus, n_max, max_diamond):
+    """(witness, per_n) of the theorem suite, every numbering checked in turn.
+
+    Local sets come from orc.local_sets_by_positions, numberings from
+    itertools.permutations, and each other value but the diamond from a
+    brute-force oracle.
+    """
+    witness, per_n = None, {}
+    for n in range(1, n_max + 1):
+        row = {"classes": 0, "numberings": 0}
+        for t in corpus[n]:
+            row["classes"] += 1
+            tbl = orc.chi_table_by_partitions(t)
+            chi_value, dom_value = tbl[t.full_mask], orc.dom_by_combinations(t)
+            best = max_diamond(t)
+            diamond = 0 if best is None else best.value
+            found = None
+            if dom_value > chi_value:
+                found = {"theorem": "dom_le_chi", "numbering": None,
+                         "lhs": dom_value, "rhs": chi_value}
+            for perm in () if found else itertools.permutations(range(n)):
+                row["numberings"] += 1
+                sets = orc.local_sets_by_positions(t, perm)
+                adj = [0] * n
+                for v, s in zip(perm, sets):
+                    adj[v] = s
+                g = Graph(n, tuple(adj))
+                gchi, gomega = orc.graph_chi_by_assignment(g), orc.graph_omega_by_subsets(g)
+                local = max((tbl[s] for s in sets), default=0)
+                if not chi_value <= gchi <= gomega * max(chi_value, 1):
+                    found = {"theorem": "backedge_sandwich", "lhs": [chi_value, gchi, gomega],
+                             "rhs": None}
+                elif diamond > 2 * local:
+                    found = {"theorem": "diamond_le_2local", "lhs": diamond, "rhs": local}
+                elif dom_value > local + 1:
+                    found = {"theorem": "dom_le_local_plus_1", "lhs": dom_value, "rhs": local}
+                if found:
+                    found["numbering"] = list(perm)
+                    break
+            if found and witness is None:
+                witness = {"tournament": formats.emit_compact(t), **found}
+        per_n[str(n)] = row
+        if witness is not None:
+            break
+    return witness, per_n
+
+
+@pytest.mark.parametrize("value, from_n, tournament, numbering, tried", [
+    (1, 2, "2:0", [0, 1], 1),
+    (3, 4, "4:00", [0, 1, 2, 3], 4),
+])
+def test_suite_falls_back_to_every_numbering_when_uncertified(
+    monkeypatch, corpus, value, from_n, tournament, numbering, tried
+):
+    # a fake diamond value above twice the least local chromatic number
+    # fails the class certificate, so each numbering is checked in turn
+    def fake(t):
+        return SimpleNamespace(value=value) if t.n >= from_n else None
+
+    monkeypatch.setattr(en, "max_diamond", fake)
+    rep = scan_theorem_suite(5)
+    witness, per_n = suite_by_permutations(corpus, 5, fake)
+    assert rep.witness == witness
+    assert rep.counters["per_n"] == per_n
+    assert (witness["tournament"], witness["numbering"]) == (tournament, numbering)
+    assert witness["theorem"] == "diamond_le_2local"
+    assert list(per_n) == [str(n) for n in range(1, from_n + 1)]
+    assert per_n[str(from_n)]["numberings"] == tried
+
+
+def test_suite_refuses_a_least_local_value_its_numbering_misses(monkeypatch):
+    def off_by_one(t):
+        nb, value = structure.min_local_numbering(t)
+        return nb, value + 1
+
+    monkeypatch.setattr(en, "min_local_numbering", off_by_one)
+    with pytest.raises(AssertionError):
+        scan_theorem_suite(3)
+
+
+def test_suite_certifies_the_local_checks_once_per_class(monkeypatch):
+    calls = {"local_chromatic_number": 0, "min_local_numbering": 0}
+
+    def counting(name):
+        real = getattr(en, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(en, name, counting(name))
+    rep = scan_theorem_suite(5)
+    per_n = rep.counters["per_n"].values()
+    assert sum(row["classes"] for row in per_n) == 20
+    assert sum(row["numberings"] for row in per_n) == 1551
+    assert calls == {"local_chromatic_number": 20, "min_local_numbering": 20}
 
 
 def test_benchmark_tracer_sees_every_suite_binding():

@@ -216,18 +216,22 @@ def test_graph_chi_omega_goldens():
 
 
 def test_graph_chi_omega_match_oracle():
+    # every labelled graph on up to 4 vertices, then seeded random ones on 5-8
+    graphs = []
+    for n in range(5):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for chosen in range(1 << len(pairs)):
+            graphs.append(graph_from_edges(n, [p for k, p in enumerate(pairs) if chosen >> k & 1]))
     rng = np.random.Generator(np.random.PCG64(2))
-    for _ in range(15):
-        n = 6
-        adj = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.integers(0, 2):
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        g = Graph(n, tuple(adj))
-        assert graph_chi(g) == orc.graph_chi_by_assignment(g)
-        assert graph_omega(g) == orc.graph_omega_by_subsets(g)
+    for n in range(5, 9):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for density in (0.3, 0.5, 0.8):
+            for _ in range(3 if n < 8 else 1):  # the assignment oracle is slow at 8
+                graphs.append(graph_from_edges(n, [p for p in pairs if rng.random() < density]))
+    assert len(graphs) == 76 + 30
+    for g in graphs:
+        assert graph_chi(g) == orc.graph_chi_by_assignment(g), g
+        assert graph_omega(g) == orc.graph_omega_by_subsets(g), g
 
 
 def test_graph_capacity():
