@@ -46,22 +46,40 @@ class SubdomResult(NamedTuple):
     """exact=False marks the sampled lower bound used beyond 20 vertices."""
 
 
-def _extend_maximal(s: int, rest: int, banned: int, can_add):
+def _extend_maximal(s: int, rest: int, banned: int, can_add, other=None, deadline=None):
     """The supersets of s inside s | rest that no vertex of rest or banned can
     extend under a hereditary property: with banned = 0, the maximal ones.
 
     can_add(S, w) answers whether S | {w} keeps the property; heredity lets a
     vertex rejected once be dropped for good. Each maximal set is produced
     exactly once, the greedy index-order extension first.
+
+    With other given (a mask with the property, disjoint from s | rest), the
+    walk also needs the vertices it leaves out of the set to keep the
+    property together with other: each dropped or excluded vertex joins
+    other, and a branch ends as soon as can_add(other, w) fails. By heredity
+    every set that branch could produce has a complement without the
+    property, so the cut is exact and the surviving sets keep their order.
+    The deadline, when given, is checked once per include branch, since the
+    pruned walk can run long without yielding.
     """
     scan = rest
     while scan:
         b = scan & -scan
         w = b.bit_length() - 1
         if can_add(s, w):
-            yield from _extend_maximal(s | b, scan ^ b, banned, can_add)
-            yield from _extend_maximal(s, scan ^ b, banned | b, can_add)
+            if deadline is not None:
+                deadline.check()
+            yield from _extend_maximal(s | b, scan ^ b, banned, can_add, other, deadline)
+            if other is None:
+                yield from _extend_maximal(s, scan ^ b, banned | b, can_add, None, deadline)
+            elif can_add(other, w):
+                yield from _extend_maximal(s, scan ^ b, banned | b, can_add, other | b, deadline)
             return
+        if other is not None:
+            if not can_add(other, w):
+                return
+            other |= b
         scan ^= b
     while banned:
         b = banned & -banned
@@ -85,6 +103,13 @@ def _min_cover(
     (uncovered, budget) states are memoized by the largest budget that failed,
     from budget 2 up: a one-class failure is a single set_ok test, cheaper to
     repeat than to store (it made up 99 % of the entries on 24 vertices).
+
+    With two classes left, a part works only if the rest of the uncovered set
+    has the property too, so that walk carries the rest as it goes and drops
+    every branch whose rest already fails (see _extend_maximal). Only the
+    parts the complement test would reject are skipped, in an unchanged tree
+    order, so value and witness are those of the unpruned search; the
+    set_ok test on the last class still confirms each answer.
     """
     if full == 0:
         return 0, ()
@@ -105,7 +130,8 @@ def _min_cover(
                 return True
             return False
         u = (uncovered & -uncovered).bit_length() - 1
-        for part in _extend_maximal(1 << u, uncovered ^ (1 << u), 0, can_add):
+        other = 0 if k == 2 else None
+        for part in _extend_maximal(1 << u, uncovered ^ (1 << u), 0, can_add, other, deadline):
             chosen.append(part)
             if feasible(uncovered & ~part, k - 1, chosen):
                 return True

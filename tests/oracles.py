@@ -3,10 +3,15 @@
 Each oracle recomputes its quantity straight from the definition (all
 partitions, all subsets, all vertex combinations, all relabellings), sharing
 nothing with the algorithms under test beyond the Tournament container. Slow
-on purpose; sized for the test corpus only. The one exception is
-subdom_by_scan, the per-subset loop the chunked subdom scan replaced: it
-reuses the kernel's dom_search, which is itself checked against
-dom_by_combinations.
+on purpose; sized for the test corpus only. Two exceptions keep a search the
+library replaced, as a reference for the faster one:
+
+- subdom_by_scan, the per-subset loop the chunked subdom scan replaced: it
+  reuses the kernel's dom_search, which is itself checked against
+  dom_by_combinations;
+- min_cover_unpruned, the cover search without the two-class cut: it takes
+  the solver's own property tests, which the solver tests check against
+  chi_by_partitions and the triangle-law and h-free definitions.
 """
 
 from __future__ import annotations
@@ -193,6 +198,62 @@ def subdom_by_scan(out_sets, n: int, masks=None) -> int:
             k += 1
         best = k
     return best
+
+
+def extend_maximal_unpruned(s: int, rest: int, banned: int, can_add):
+    """The supersets of s inside s | rest that no vertex of rest or banned can
+    extend under a hereditary property, the greedy index-order one first."""
+    scan = rest
+    while scan:
+        b = scan & -scan
+        w = b.bit_length() - 1
+        if can_add(s, w):
+            yield from extend_maximal_unpruned(s | b, scan ^ b, banned, can_add)
+            yield from extend_maximal_unpruned(s, scan ^ b, banned | b, can_add)
+            return
+        scan ^= b
+    while banned:
+        b = banned & -banned
+        if can_add(s, b.bit_length() - 1):
+            return
+        banned ^= b
+    yield s
+
+
+def min_cover_unpruned(full: int, can_add, set_ok, deadline=None):
+    """solvers._min_cover without the two-class cut: every maximal part is
+    tried, and only set_ok rejects a last class that lacks the property.
+    deadline is accepted for the solver's call signature and ignored."""
+    if full == 0:
+        return 0, ()
+    if set_ok(full):
+        return 1, (full,)
+    fail_at: dict[int, int] = {}
+
+    def feasible(uncovered: int, k: int, chosen: list[int]) -> bool:
+        if uncovered == 0:
+            return True
+        if fail_at.get(uncovered, 0) >= k:
+            return False
+        if k == 1:
+            if set_ok(uncovered):
+                chosen.append(uncovered)
+                return True
+            return False
+        u = (uncovered & -uncovered).bit_length() - 1
+        for part in extend_maximal_unpruned(1 << u, uncovered ^ (1 << u), 0, can_add):
+            chosen.append(part)
+            if feasible(uncovered & ~part, k - 1, chosen):
+                return True
+            chosen.pop()
+        fail_at[uncovered] = k
+        return False
+
+    for k in range(2, full.bit_count() + 1):
+        chosen: list[int] = []
+        if feasible(full, k, chosen):
+            return k, tuple(sorted(chosen, key=lambda m: m & -m))
+    raise AssertionError("singleton classes always cover")
 
 
 def graph_chi_by_assignment(g: Graph) -> int:

@@ -37,8 +37,10 @@ from tourlab import (
     paley,
     random_tournament,
     s_t,
+    solvers,
     subdom,
     Submeasure,
+    tournament_from_edges,
     transitive_tournament,
     validate_law,
     validate_submeasure,
@@ -77,6 +79,80 @@ def test_chi_on_subsets_matches_oracle():
         got = chi(t, s=mask)
         assert got.value == orc.chi_by_partitions(t, mask)
         _assert_chi_witness(t, mask, got)
+
+
+def test_chi_paley23_is_five():
+    # above the 20-vertex table cap only the branch-and-bound proves this
+    t = paley(23)
+    got = chi(t)
+    assert got.value == 5 == len(got.classes)
+    union = 0
+    for cls in got.classes:
+        assert union & cls == 0 and orc.transitive_by_degrees(t, cls)
+        union |= cls
+    assert union == t.full_mask
+
+
+def test_pruned_cover_search_matches_unpruned(corpus, monkeypatch):
+    # the two-class cut skips only parts whose complement set_ok rejects, so
+    # chi, chi_h and chi_law keep the unpruned search's value and witness
+    tri, s2 = cyclic_triangle(), s_t(2)
+    solves = []
+    for n in range(1, 7):
+        for t in corpus[n]:
+            solves += [
+                lambda t=t: chi(t),
+                lambda t=t: chi_h(t, tri),
+                lambda t=t: chi_h(t, s2),
+                lambda t=t: chi_law(t, all_triangle_law(t)),
+            ]
+    randoms = [(n, seed) for n in range(8, 21, 2) for seed in range(3)]
+    for n, seed in randoms + [(22, 0), (24, 1)]:
+        t = random_tournament(n, seed)
+        solves.append(lambda t=t: chi(t))
+        if n <= 14:
+            solves += [
+                lambda t=t: chi_h(t, tri),
+                lambda t=t: chi_law(t, all_triangle_law(t)),
+            ]
+        if n <= 12:
+            solves.append(lambda t=t: chi_h(t, s2))
+    r20 = random_tournament(20, seed=1)
+    solves += [
+        lambda: chi(r20, s=r20.full_mask & ~0b1000100101),
+        lambda: chi(paley(19), s=paley(19).full_mask ^ 1),
+    ]
+    for q in (7, 11):
+        solves += [
+            lambda q=q: chi_h(paley(q), tri),
+            lambda q=q: chi_law(paley(q), all_triangle_law(paley(q))),
+        ]
+    solves += [lambda q=q: chi(paley(q)) for q in (7, 11, 19)]
+    solves += [lambda: chi(s_t(4)), lambda: chi_law(s_t(4), all_triangle_law(s_t(4)))]
+    got = [solve() for solve in solves]
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_min_cover", orc.min_cover_unpruned)
+        want = [solve() for solve in solves]
+    assert [i for i in range(len(got)) if got[i] != want[i]] == []
+
+    # every part the two-class walk yields leaves a complement with the
+    # property, so set_ok can fail only on the whole set
+    for t in [random_tournament(n, seed) for n, seed in randoms if n <= 16] + [paley(11)]:
+        failed = []
+
+        def set_ok(mask, t=t):
+            ok = orc.transitive_by_degrees(t, mask)
+            if not ok:
+                failed.append(mask)
+            return ok
+
+        def can_add(cls, w, t=t):
+            return orc.transitive_by_degrees(t, cls | 1 << w)
+
+        want = orc.min_cover_unpruned(t.full_mask, can_add, set_ok)
+        failed.clear()
+        assert solvers._min_cover(t.full_mask, can_add, set_ok) == want
+        assert failed in ([], [t.full_mask])
 
 
 def test_chi_table_matches_pointwise(corpus):
@@ -323,3 +399,38 @@ def test_chunked_subdom_scan_honours_deadline():
     with pytest.raises(DeadlineExceeded):
         subdom(random_tournament(20, seed=1), deadline=Deadline(0.05))
     assert time.monotonic() - start < 0.5
+
+
+def _transitive_then_paley7(m: int):
+    """A transitive m-vertex prefix beating every vertex of a paley(7) tail.
+
+    chi is 3, and the first two-class walk splits the prefix all 2^(m - 1)
+    ways before the tail rejects each split, yielding no part."""
+    p7 = paley(7)
+    edges = [(i, j) for i in range(m) for j in range(i + 1, m + 7)]
+    edges += [(m + a, m + b) for a in range(7) for b in bits(p7.out_sets[a])]
+    return tournament_from_edges(m + 7, edges)
+
+
+def test_cover_search_honours_deadline_inside_two_class_walk():
+    # Without deadlines these take about 5 s (chi, random n = 30), 2 s and
+    # 12 s (chi_h and chi_law, paley(23)), and 3.7 s, over 2 min and 11 s
+    # (chi, chi_h and chi_law on the 25-vertex input). There, the first
+    # two-class walk yields nothing for over 1 s, so only the check inside
+    # the walk meets the deadline.
+    p23, g = paley(23), _transitive_then_paley7(18)
+    tri = cyclic_triangle()
+    p23_law, g_law = all_triangle_law(p23), all_triangle_law(g)
+    solves = [
+        lambda d: chi(random_tournament(30, seed=1), deadline=d),
+        lambda d: chi_h(p23, tri, deadline=d),
+        lambda d: chi_law(p23, p23_law, deadline=d),
+        lambda d: chi(g, deadline=d),
+        lambda d: chi_h(g, tri, deadline=d),
+        lambda d: chi_law(g, g_law, deadline=d),
+    ]
+    for solve in solves:
+        start = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            solve(Deadline(0.05))
+        assert time.monotonic() - start < 0.5
