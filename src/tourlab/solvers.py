@@ -1,8 +1,11 @@
 """Exact solvers for tournament and graph colouring/domination parameters.
 
 Every solver is exact on its documented input range; nothing here returns an
-approximation presented as an exact value. The only non-exact path is the
-n > 20 branch of subdom, which is flagged as a lower bound in its result.
+approximation presented as an exact value. The only non-exact path in this
+module is the n > 20 branch of subdom, which is flagged as a lower bound in
+its result; validate_submeasure samples for user submeasures, as its
+docstring says. Elsewhere, structure.best_complete_pair and c_good sample
+beyond 15 vertices.
 """
 
 from __future__ import annotations
@@ -94,6 +97,7 @@ def _min_cover(
     can_add: Callable[[int, int], bool],
     set_ok: Callable[[int], bool],
     deadline: Optional[Deadline] = None,
+    largest: Optional[int] = None,
 ) -> tuple[int, tuple[int, ...]]:
     """Minimum number of hereditary-property classes covering full, plus one witness.
 
@@ -110,6 +114,15 @@ def _min_cover(
     parts the complement test would reject are skipped, in an unchanged tree
     order, so value and witness are those of the unpruned search; the
     set_ok test on the last class still confirms each answer.
+
+    largest, when given, bounds the size of every class with the property
+    (chi passes the largest transitive subset of full). No k classes can
+    then cover more than k * largest vertices, so deepening starts at
+    ceil(|full| / largest) and any state with more uncovered vertices than
+    its budget times largest fails at once. Each subset U of full is bounded
+    by the same number, so both cuts skip only states that fail anyway: the
+    levels skipped are all infeasible, and the first feasible level walks
+    its tree in the same order, so value and witness do not change.
     """
     if full == 0:
         return 0, ()
@@ -122,6 +135,8 @@ def _min_cover(
             return True
         if deadline is not None:
             deadline.check()
+        if largest is not None and uncovered.bit_count() > k * largest:
+            return False
         if fail_at.get(uncovered, 0) >= k:
             return False
         if k == 1:
@@ -140,18 +155,51 @@ def _min_cover(
         return False
 
     n = full.bit_count()
-    for k in range(2, n + 1):
+    start = 2 if largest is None else max(2, -(-n // largest))
+    for k in range(start, n + 1):
         chosen: list[int] = []
         if feasible(full, k, chosen):
             return k, tuple(sorted(chosen, key=lambda m: m & -m))
     raise AssertionError("singleton classes always cover")
 
 
+def _largest_transitive(out: list[int], full: int, deadline: Optional[Deadline] = None) -> int:
+    """Most vertices of a transitive subset of full.
+
+    A transitive set is its source plus a transitive set the source beats,
+    so the search recurses on u & out[v] for each v in u, and cuts a branch
+    that could not beat the best size found even if all of u & out[v] were
+    transitive. The deadline is checked once per source branch.
+    """
+    best = 0
+
+    def grow(size: int, u: int):
+        nonlocal best
+        if size > best:
+            best = size
+        scan = u
+        while scan:
+            b = scan & -scan
+            sub = u & out[b.bit_length() - 1]
+            if size + 1 + sub.bit_count() > best:
+                if deadline is not None:
+                    deadline.check()
+                grow(size + 1, sub)
+            scan ^= b
+
+    grow(0, full)
+    return best
+
+
 def chi(t: Tournament, s: Optional[int] = None, deadline: Optional[Deadline] = None) -> ChiResult:
     """Chromatic number of the subtournament on s (default: all vertices).
 
     Minimum number of transitive classes covering s, with one witness
-    partition; classes are reported sorted by least element.
+    partition; classes are reported sorted by least element. The cover
+    search starts at ceil(|s| / alpha), alpha the largest transitive subset
+    of s, which settles lower bounds like chi(paley(23)) >= 5 without
+    refuting 2, 3 and 4 classes one by one; see _min_cover for why the
+    witness is the one a search from 2 classes finds.
     """
     full = t.full_mask if s is None else s
     if full & ~t.full_mask:
@@ -169,8 +217,9 @@ def chi(t: Tournament, s: Optional[int] = None, deadline: Optional[Deadline] = N
             outs ^= low
         return True
 
+    largest = _largest_transitive(out, full, deadline)
     value, classes = _min_cover(
-        full, can_add, lambda m: is_transitive_set(t, m), deadline
+        full, can_add, lambda m: is_transitive_set(t, m), deadline, largest
     )
     return ChiResult(value, classes)
 

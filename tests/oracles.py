@@ -9,9 +9,10 @@ library replaced, as a reference for the faster one:
 - subdom_by_scan, the per-subset loop the chunked subdom scan replaced: it
   reuses the kernel's dom_search, which is itself checked against
   dom_by_combinations;
-- min_cover_unpruned, the cover search without the two-class cut: it takes
-  the solver's own property tests, which the solver tests check against
-  chi_by_partitions and the triangle-law and h-free definitions.
+- min_cover_unpruned, the cover search without the two-class cut or the
+  class-size bound: it takes the solver's own property tests, which the
+  solver tests check against chi_by_partitions and the triangle-law and
+  h-free definitions.
 """
 
 from __future__ import annotations
@@ -28,6 +29,18 @@ def transitive_by_degrees(t: Tournament, mask: int) -> bool:
     """A set is transitive iff its internal out-degrees are 0..k-1 in some order."""
     degrees = sorted((t.out_sets[v] & mask).bit_count() for v in bits(mask))
     return degrees == list(range(len(degrees)))
+
+
+def max_transitive_by_subsets(t: Tournament, mask: int | None = None) -> int:
+    """Most vertices of a transitive subset of mask, over every subset."""
+    if mask is None:
+        mask = t.full_mask
+    best, sub = 0, mask
+    while sub:
+        if sub.bit_count() > best and transitive_by_degrees(t, sub):
+            best = sub.bit_count()
+        sub = (sub - 1) & mask
+    return best
 
 
 def iter_partitions(items: list[int]):
@@ -220,10 +233,11 @@ def extend_maximal_unpruned(s: int, rest: int, banned: int, can_add):
     yield s
 
 
-def min_cover_unpruned(full: int, can_add, set_ok, deadline=None):
-    """solvers._min_cover without the two-class cut: every maximal part is
-    tried, and only set_ok rejects a last class that lacks the property.
-    deadline is accepted for the solver's call signature and ignored."""
+def min_cover_unpruned(full: int, can_add, set_ok, deadline=None, largest=None):
+    """solvers._min_cover without the two-class cut or the class-size bound:
+    every maximal part is tried from 2 classes up, and only set_ok rejects a
+    last class that lacks the property. deadline and largest are accepted
+    for the solver's call signature and ignored."""
     if full == 0:
         return 0, ()
     if set_ok(full):

@@ -27,6 +27,7 @@ from tourlab import (
     dom,
     edom,
     edom_submeasure,
+    enumerate_all,
     graph_chi,
     graph_from_edges,
     graph_omega,
@@ -91,6 +92,36 @@ def test_chi_paley23_is_five():
         assert union & cls == 0 and orc.transitive_by_degrees(t, cls)
         union |= cls
     assert union == t.full_mask
+
+
+@pytest.mark.parametrize("q, want", [(31, 5), (43, 7)])
+def test_chi_large_paley(q, want):
+    # alpha is 7 for both, so ceil(n / alpha) is already the answer and the
+    # search proves the lower bound without refuting smaller levels
+    t = paley(q)
+    got = chi(t)
+    assert got.value == want == len(got.classes)
+    union = 0
+    for cls in got.classes:
+        assert union & cls == 0 and orc.transitive_by_degrees(t, cls)
+        union |= cls
+    assert union == t.full_mask
+
+
+def test_largest_transitive_matches_subset_oracle(corpus):
+    # chi starts its cover search at ceil(n / alpha), so alpha must be exact
+    # and the bound must hold for the chi it returns
+    inputs = [t for n in range(1, 7) for t in corpus[n]] + list(enumerate_all(7))
+    inputs += [random_tournament(n, seed) for n in range(8, 13) for seed in range(3)]
+    for t in inputs:
+        alpha = solvers._largest_transitive(t.out_sets, t.full_mask)
+        assert alpha == orc.max_transitive_by_subsets(t)
+        assert chi(t).value >= -(-t.n // alpha)
+    t = random_tournament(12, seed=7)
+    for mask in (0b101101011010, 0b011110000111, 0b1, 0):
+        alpha = solvers._largest_transitive(t.out_sets, mask)
+        assert alpha == orc.max_transitive_by_subsets(t, mask)
+        assert chi(t, s=mask).value >= -(-mask.bit_count() // max(alpha, 1))
 
 
 def test_pruned_cover_search_matches_unpruned(corpus, monkeypatch):
@@ -433,4 +464,18 @@ def test_cover_search_honours_deadline_inside_two_class_walk():
         start = time.monotonic()
         with pytest.raises(DeadlineExceeded):
             solve(Deadline(0.05))
+        assert time.monotonic() - start < 0.5
+
+
+def test_chi_honours_deadline_inside_largest_transitive_search():
+    # the search for the largest transitive subset takes about 30-50 ms on
+    # 64 vertices, as long as the deadline itself
+    t = random_tournament(64, seed=0)
+    with pytest.raises(DeadlineExceeded):
+        solvers._largest_transitive(t.out_sets, t.full_mask, Deadline(-1.0))
+    for seed in range(3):
+        t = random_tournament(64, seed)
+        start = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            chi(t, deadline=Deadline(0.05))
         assert time.monotonic() - start < 0.5
