@@ -120,20 +120,26 @@ def best_complete_pair(
     """Complete pair maximizing min(chi(a), chi(b)).
 
     Exact up to 15 vertices: b runs over all subsets and a is the maximal
-    source side, which never lowers the quality. Beyond 15 the b candidates
-    are the in/out neighbourhoods plus seeded random masks, and the result is
-    only a lower bound (exact=False).
+    source side, which never lowers the quality. The source sides form one
+    doubling table: a[0] is every vertex, and one numpy pass per vertex v
+    sets a[b | v] = a[b] & in(v) for every b below v. Of the pairs of best
+    quality the one with the least b is kept, and a best quality of 0 gives
+    the empty pair. Beyond 15 the b candidates are the in/out
+    neighbourhoods plus seeded random masks, and the result is only a lower
+    bound (exact=False).
     """
     if t.n <= 15:
         tbl = chi_all_subsets(t, deadline)
-        best = CompletePair(0, 0, 0)
-        for b in range(1 << t.n):
-            if deadline is not None and b % 4096 == 0:
+        a = np.empty(1 << t.n, np.intp)
+        a[0] = t.full_mask
+        for v in range(t.n):
+            np.bitwise_and(a[: 1 << v], t.in_set(v), out=a[1 << v : 2 << v])
+            if deadline is not None:
                 deadline.check()
-            a = _max_source_side(t, b)
-            q = min(int(tbl[a]), int(tbl[b]))
-            if q > best.quality:
-                best = CompletePair(a, b, q)
+        q = np.minimum(tbl[a], tbl)
+        b = int(q.argmax())
+        best = CompletePair(int(a[b]), b, int(q[b])) if q[b] else CompletePair(0, 0, 0)
+        validate_complete_pair(t, best)
         return PairResult(best, True)
     cands = {t.out_sets[v] for v in range(t.n)} | {t.in_set(v) for v in range(t.n)}
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -147,6 +153,7 @@ def best_complete_pair(
         q = min(chi(t, a, deadline).value, chi(t, b, deadline).value)
         if q > best.quality:
             best = CompletePair(a, b, q)
+    validate_complete_pair(t, best)
     return PairResult(best, False)
 
 

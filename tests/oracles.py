@@ -12,7 +12,10 @@ library replaced, as a reference for the faster one:
 - min_cover_unpruned, the cover search without the two-class cut or the
   class-size bound: it takes the solver's own property tests, which the
   solver tests check against chi_by_partitions and the triangle-law and
-  h-free definitions.
+  h-free definitions;
+- best_pair_by_loop, the per-b loop the subset-doubling table of
+  best_complete_pair replaced: it takes the chi table under test, as
+  best_pair_by_assignment does, and returns the library's CompletePair.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 
 from tourlab._kernels import dom_search
 from tourlab.core import Graph, Tournament, bits
+from tourlab.structure import CompletePair
 
 
 def transitive_by_degrees(t: Tournament, mask: int) -> bool:
@@ -373,6 +377,23 @@ def best_pair_by_assignment(t: Tournament, chi_table) -> int:
         if any(not t.out_sets[u] >> v & 1 for u in bits(a) for v in bits(b)):
             continue
         best = max(best, min(chi_table[a], chi_table[b]))
+    return best
+
+
+def best_pair_by_loop(t: Tournament, chi_table) -> CompletePair:
+    """Best complete pair over every b, with a all vertices outside b beating b.
+
+    Keeps the first pair of strictly highest quality, so ties go to the least
+    b, and a best quality of 0 gives the empty pair.
+    """
+    best = CompletePair(0, 0, 0)
+    for b in range(1 << t.n):
+        a = sum(
+            1 << v for v in range(t.n) if not b >> v & 1 and not b & ~t.out_sets[v]
+        )
+        q = min(int(chi_table[a]), int(chi_table[b]))
+        if q > best.quality:
+            best = CompletePair(a, b, q)
     return best
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import oracles as orc
 
+import tourlab.structure as structure
 from tourlab import (
     CapacityError,
     CompletePair,
@@ -120,6 +121,16 @@ def test_best_complete_pair_matches_assignment_oracle(corpus):
         assert got.exact
         assert got.pair.quality == orc.best_pair_by_assignment(t, tbl)
         validate_complete_pair(t, got.pair)
+
+
+def test_best_complete_pair_matches_loop_oracle(corpus):
+    inputs = [t for n in range(1, 7) for t in corpus[n]]
+    inputs += [paley(7), paley(11), s_t(4)]
+    inputs += [transitive_tournament(n) for n in range(3)]
+    inputs += [random_tournament(n, seed=n) for n in range(7, 16)]
+    for t in inputs:
+        want = orc.best_pair_by_loop(t, chi_all_subsets(t))
+        assert best_complete_pair(t) == (want, True)
 
 
 def test_best_complete_pair_heuristic_flagged():
@@ -382,13 +393,21 @@ def test_subset_table_path_honours_deadline():
     with pytest.raises(DeadlineExceeded):
         local_chromatic_number(ot, deadline=Deadline(0.05))
     assert time.monotonic() - start < 0.5
-    # max_diamond's n <= 15 cap finishes well inside any useful deadline, so
-    # it gets an expired one; best_complete_pair still raises mid-loop
+    # max_diamond and best_complete_pair finish their n <= 15 range in a few
+    # milliseconds, well inside any useful deadline, so they get an expired one
     t = random_tournament(15, seed=1)
-    for analyzer, seconds in ((max_diamond, -1.0), (best_complete_pair, 0.05)):
+    for analyzer in (max_diamond, best_complete_pair):
         start = time.monotonic()
         with pytest.raises(DeadlineExceeded):
-            analyzer(t, deadline=Deadline(seconds))
+            analyzer(t, deadline=Deadline(-1.0))
         assert time.monotonic() - start < 0.5
     with pytest.raises(DeadlineExceeded):
         min_local_numbering(random_tournament(9, seed=1), deadline=Deadline(-1.0))
+
+
+def test_complete_pair_pass_checks_deadline(monkeypatch):
+    # the chi table gets no deadline, so only the pair pass itself can raise
+    table = structure.chi_all_subsets
+    monkeypatch.setattr(structure, "chi_all_subsets", lambda t, deadline=None: table(t))
+    with pytest.raises(DeadlineExceeded):
+        best_complete_pair(random_tournament(15, seed=1), deadline=Deadline(-1.0))
